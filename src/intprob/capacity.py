@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .errors import ConstraintError, PreconditionError
+from .errors import ConstraintError
 from .measure import (
     ONE,
     ZERO,
@@ -35,9 +35,19 @@ from .measure import (
     RationalLike,
     UncertaintyDegree,
     as_rational,
-    uncertainty_variable,
 )
-from .space import Event, Space, indecisive_set, iter_bits
+from .space import (
+    PAIR_LIMIT,
+    TABLE_LIMIT,
+    Event,
+    Space,
+    check_size,
+    check_space,
+    disjoint_pairs,
+    indecisive_set,
+    iter_bits,
+    lattice_edges,
+)
 
 __all__ = [
     "Capacity",
@@ -55,14 +65,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Largest universe for which an explicit subset table is accepted
-#: (2^20 entries, about one million rationals).
-TABLE_LIMIT = 20
-
-#: Largest universe for which the disjoint-pair additivity sweep runs
-#: (3^12 pairs).
-SWEEP_LIMIT = 12
-
 
 @dataclass(frozen=True, eq=False)
 class Capacity:
@@ -78,8 +80,7 @@ class Capacity:
     table: tuple[Fraction, ...]
 
     def __call__(self, event: Event) -> Fraction:
-        if event.space != self.space:
-            raise PreconditionError("event and capacity live on different spaces")
+        check_space(self.space, event)
         return self.table[event.mask]
 
     def of_mask(self, mask: int) -> Fraction:
@@ -88,18 +89,16 @@ class Capacity:
     def is_additive(self) -> bool:
         """True when the table is a probability measure's subset sums."""
         singles = [self.table[1 << i] for i in range(self.space.omega_size)]
-        return all(
-            self.table[mask] == sum((singles[i] for i in iter_bits(mask)), ZERO)
-            for mask in range(len(self.table))
-        )
+        return list(self.table) == _subset_sums(singles)
 
 
-def _check_table_size(space: Space, what: str) -> None:
-    if space.omega_size > TABLE_LIMIT:
-        raise PreconditionError(
-            f"{what} handles at most {TABLE_LIMIT} eventualities, "
-            f"got {space.omega_size}"
-        )
+def _subset_sums(values: Sequence[Fraction]) -> list[Fraction]:
+    """``sums[mask]``: the sum of ``values`` over the points of ``mask``."""
+    sums = [ZERO] * (1 << len(values))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    return sums
 
 
 def capacity_from_table(space: Space, table: Sequence[RationalLike]) -> Capacity:
@@ -109,7 +108,7 @@ def capacity_from_table(space: Space, table: Sequence[RationalLike]) -> Capacity
     extension (which implies monotonicity for all nested pairs).  A
     violation is rejected with the offending pair as witness.
     """
-    _check_table_size(space, "capacity_from_table")
+    check_size("capacity_from_table", space.omega_size, TABLE_LIMIT)
     n_events = 1 << space.omega_size
     values = tuple(as_rational(v) for v in table)
     if len(values) != n_events:
@@ -122,17 +121,12 @@ def capacity_from_table(space: Space, table: Sequence[RationalLike]) -> Capacity
         raise ConstraintError(
             f"capacity of the universe must be 1, got {values[n_events - 1]}"
         )
-    full = n_events - 1
-    for mask in range(n_events):
-        v = values[mask]
-        rest = full & ~mask
-        for x in iter_bits(rest):
-            ext = mask | (1 << x)
-            if values[ext] < v:
-                raise ConstraintError(
-                    "capacity not monotone",
-                    witness=(Event(space, mask), Event(space, ext)),
-                )
+    for mask, ext in lattice_edges(space.omega_size):
+        if values[ext] < values[mask]:
+            raise ConstraintError(
+                "capacity not monotone",
+                witness=(Event(space, mask), Event(space, ext)),
+            )
     return Capacity(space, values)
 
 
@@ -145,7 +139,7 @@ def belief_from_mass(
     ``space``, with no mass on the empty event.  The result is monotone
     and super-additive by construction.
     """
-    _check_table_size(space, "belief_from_mass")
+    check_size("belief_from_mass", space.omega_size, TABLE_LIMIT)
     focal: list[tuple[int, Fraction]] = []
     total = ZERO
     for event, raw in m.items():
@@ -220,12 +214,8 @@ def distort(
     the table ever evaluates), and a violation is rejected with the
     witnessing argument pair.  ``g`` must return exact rationals.
     """
-    _check_table_size(p.space, "distort")
-    n_events = 1 << p.space.omega_size
-    probs = [ZERO] * n_events
-    for mask in range(1, n_events):
-        low = mask & -mask
-        probs[mask] = probs[mask ^ low] + p.values[low.bit_length() - 1]
+    check_size("distort", p.space.omega_size, TABLE_LIMIT)
+    probs = _subset_sums(p.values)
 
     def apply(t: Fraction) -> Fraction:
         out = g(t)
@@ -285,8 +275,7 @@ def choquet(nu: Capacity, g: RandomVariable) -> Fraction:
     capacity this is the ordinary expectation; for an indicator it is
     the capacity of the indicated event.
     """
-    if g.space != nu.space:
-        raise PreconditionError("capacity and integrand live on different spaces")
+    check_space(nu.space, g)
     for v in g.values:
         if not (ZERO <= v <= ONE):
             raise ConstraintError(f"integrand value {v} outside [0, 1]", witness=v)
@@ -298,15 +287,16 @@ def capacity_interval(
 ) -> Interval:
     """``[nu(H), nu(H) + ∫ nu(H_ind ∩ {r >= t}) dt]`` clamped to [0, 1].
 
-    For an additive capacity this coincides with the measure-based
-    interval.  The clamp is part of the definition; if it fires (which
-    needs a capacity inflating disjoint unions enough that the raw sum
-    exceeds 1) the event is logged.
+    The integral is the Choquet integral of ``r * 1_{H_ind}``.  For an
+    additive capacity this coincides with the measure-based interval.
+    The clamp is part of the definition; if it fires (which needs a
+    capacity inflating disjoint unions enough that the raw sum exceeds
+    1) the event is logged.
     """
-    if r.space != nu.space or h.space != nu.space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(nu.space, r, h)
     lo = nu.table[h.mask]
-    raw_hi = lo + choquet(nu, uncertainty_variable(h.space, h, r))
+    ind_mask = indecisive_set(h.space, h).mask
+    raw_hi = lo + _grid_integral(nu, r.values, ind_mask, lambda s: s)
     if raw_hi > 1:
         logger.info(
             "capacity interval right endpoint %s clamped to 1 for %r", raw_hi, h
@@ -322,26 +312,18 @@ def capacity_interval_prime(
 
     Strata of ``t`` where the graded indecisive part is exhausted
     contribute ``nu(H)`` (the transform of the empty level set), so the
-    right endpoint is always at least ``nu(H)``.  Super-additivity is
-    not demanded here — the map is defined for any capacity — but only
-    super-additive capacities guarantee that ``capacity_interval`` is
-    contained in this interval.
+    right endpoint is always at least ``nu(H)``.  It never exceeds 1:
+    every stratum value is at most 1 and the stratum widths sum to 1.
+    Super-additivity is not demanded here — the map is defined for any
+    capacity — but only super-additive capacities guarantee that
+    ``capacity_interval`` is contained in this interval.
     """
-    if r.space != nu.space or h.space != nu.space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(nu.space, r, h)
     lo = nu.table[h.mask]
     ind_mask = indecisive_set(h.space, h).mask
-    hi = _grid_integral(nu, r.values, ind_mask, lambda s: h.mask | s)
-    if hi > 1:
-        # Unreachable for a monotone capacity: every stratum value
-        # nu(H ∪ ...) is at most 1 and the stratum widths sum to 1.
-        # Kept as a recorded safeguard so any future relaxation of the
-        # capacity invariants cannot silently produce invalid intervals.
-        logger.warning(
-            "capacity interval (prime) right endpoint %s clamped to 1 for %r", hi, h
-        )
-        hi = ONE
-    return Interval(lo, hi)
+    return Interval(
+        lo, _grid_integral(nu, r.values, ind_mask, lambda s: h.mask | s)
+    )
 
 
 @dataclass(frozen=True)
@@ -365,29 +347,21 @@ def is_superadditive(nu: Capacity) -> AdditivityProfile:
     """Classify a capacity by sweeping all disjoint pairs of events.
 
     The sweep touches 3^|Omega| pairs and is limited to universes of at
-    most 12 eventualities.  Results are cached per capacity object.
+    most ``PAIR_LIMIT`` eventualities.  Results are cached per capacity
+    object.
     """
     size = nu.space.omega_size
-    if size > SWEEP_LIMIT:
-        raise PreconditionError(
-            f"additivity sweep handles at most {SWEEP_LIMIT} eventualities, got {size}"
-        )
+    check_size("additivity sweep", size, PAIR_LIMIT)
     table = nu.table
-    full = (1 << size) - 1
     super_w: tuple[Event, Event] | None = None
     sub_w: tuple[Event, Event] | None = None
-    for a in range(1, full + 1):
-        comp = full & ~a
-        b = comp
-        while b:
-            if b < a:
-                lhs = table[a] + table[b]
-                rhs = table[a | b]
-                if lhs > rhs and super_w is None:
-                    super_w = (Event(nu.space, a), Event(nu.space, b))
-                if lhs < rhs and sub_w is None:
-                    sub_w = (Event(nu.space, a), Event(nu.space, b))
-                if super_w is not None and sub_w is not None:
-                    return AdditivityProfile(False, super_w, False, sub_w)
-            b = (b - 1) & comp
+    for a, b in disjoint_pairs(size):
+        lhs = table[a] + table[b]
+        rhs = table[a | b]
+        if lhs > rhs and super_w is None:
+            super_w = (Event(nu.space, a), Event(nu.space, b))
+        if lhs < rhs and sub_w is None:
+            sub_w = (Event(nu.space, a), Event(nu.space, b))
+        if super_w is not None and sub_w is not None:
+            return AdditivityProfile(False, super_w, False, sub_w)
     return AdditivityProfile(super_w is None, super_w, sub_w is None, sub_w)

@@ -48,7 +48,7 @@ from .measure import (
 )
 from .product import native_interval, product_interval, product_space
 from .scenario import load_scenario
-from .space import build_space, indecisive_set, weak_complement
+from .space import EDGE_LIMIT, build_space, check_size, indecisive_set, weak_complement
 
 __all__ = ["main"]
 
@@ -193,6 +193,7 @@ def _cmd_product(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     space = scenario.space
+    check_size("validate_imprecise", space.omega_size, EDGE_LIMIT)
     q = {
         event: interval_measure(scenario.mass, scenario.r, event)
         for event in space.events()

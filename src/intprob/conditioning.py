@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .capacity import SWEEP_LIMIT, Capacity, _grid_integral, is_superadditive
+from .capacity import Capacity, _grid_integral, is_superadditive
 from .errors import PreconditionError
 from .measure import (
     ONE,
@@ -33,7 +33,7 @@ from .measure import (
     ProbabilityMeasure,
     UncertaintyDegree,
 )
-from .space import Event, indecisive_set, weak_complement
+from .space import PAIR_LIMIT, Event, check_space, indecisive_set, weak_complement
 
 __all__ = [
     "conditional_interval",
@@ -75,8 +75,7 @@ def conditional_interval(
     with ``P(H) = 0`` when the indecisive part carries graded mass.
     """
     space = h.space
-    if p.space != space or r.space != space or a.space != space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(space, p, r, a)
     h_ind = indecisive_set(space, h).mask
     a_ind = indecisive_set(space, a).mask
     denom = ZERO
@@ -122,8 +121,7 @@ def ds_conditional(nu: Capacity, a: Event, h: Event) -> Fraction:
     capacities it genuinely differs from Bayesian updating.
     """
     space = nu.space
-    if a.space != space or h.space != space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(space, a, h)
     hc = space.full_mask & ~h.mask
     base = nu.table[hc]
     if base == 1:
@@ -143,8 +141,7 @@ def ds_conditional_weak(nu: Capacity, a: Event, h: Event) -> Fraction:
     ``conditional_interval(P, 1, A, H)``.
     """
     space = nu.space
-    if a.space != space or h.space != space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(space, a, h)
     wc = weak_complement(space, h).mask
     base = nu.table[wc]
     if base == 1:
@@ -166,8 +163,7 @@ def effective_weight(
     ``B``; ``I(Omega)`` is at least ``nu(H)``.
     """
     space = nu.space
-    if r.space != space or h.space != space or b.space != space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(space, r, h, b)
     ind_mask = indecisive_set(space, h).mask
     return _grid_integral(
         nu, r.values, ind_mask, lambda s: b.mask & (h.mask | s)
@@ -183,8 +179,7 @@ def uncertainty_weight(
     argument, so ``J(B) <= I(B)`` for every monotone capacity.
     """
     space = nu.space
-    if r.space != space or h.space != space or b.space != space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(space, r, h, b)
     ind_mask = indecisive_set(space, h).mask
     support = b.mask & (h.mask | ind_mask)
     return _grid_integral(nu, r.values, support, lambda s: s)
@@ -207,12 +202,15 @@ class ConditionalOutcome:
     tentative: bool = True
 
 
-def _conditional_flags(nu: Capacity, h: Event) -> tuple[Fraction, bool | None]:
+def _conditional_flags(
+    nu: Capacity, r: UncertaintyDegree, a: Event, h: Event
+) -> bool | None:
+    check_space(nu.space, r, a, h)
     if nu.table[h.mask] == 0:
         raise PreconditionError(
             "graded conditioning requires nu(H) > 0", witness=h
         )
-    if nu.space.omega_size <= SWEEP_LIMIT:
+    if nu.space.omega_size <= PAIR_LIMIT:
         profile = is_superadditive(nu)
         if not profile.superadditive:
             # The outcome's `superadditive` flag is the API for this;
@@ -222,8 +220,8 @@ def _conditional_flags(nu: Capacity, h: Event) -> tuple[Fraction, bool | None]:
                 "containment guarantees do not apply (witness pair %r)",
                 profile.superadditive_witness,
             )
-        return nu.table[h.mask], profile.superadditive
-    return nu.table[h.mask], None
+        return profile.superadditive
+    return None
 
 
 def capacity_conditional(
@@ -239,7 +237,7 @@ def capacity_conditional(
     the super-additive case.  The raw right endpoint can exceed 1; it
     is clamped and the clamp recorded on the outcome.
     """
-    _, super_flag = _conditional_flags(nu, h)
+    super_flag = _conditional_flags(nu, r, a, h)
     space = nu.space
     total = effective_weight(nu, r, h, space.universe)
     weight_a = effective_weight(nu, r, h, a)
@@ -268,27 +266,16 @@ def capacity_conditional_prime(
 
     The right endpoint evaluates ``I`` on the complement of the weak
     complement of ``A`` (that is, ``A ∪ A_ind``), so it never exceeds
-    ``I(Omega)`` and no clamp can fire; the recorded-clamp path is kept
-    for symmetry with :func:`capacity_conditional`.
+    ``I(Omega)`` and the outcome is never clamped.
     """
-    _, super_flag = _conditional_flags(nu, h)
+    super_flag = _conditional_flags(nu, r, a, h)
     space = nu.space
     total = effective_weight(nu, r, h, space.universe)
     lo = effective_weight(nu, r, h, a) / total
     widened = Event(space, a.mask | indecisive_set(space, a).mask)
     hi = effective_weight(nu, r, h, widened) / total
-    clamped = hi > 1
-    if clamped:
-        logger.warning(
-            "widened graded conditional right endpoint %s clamped to 1 "
-            "for %r given %r",
-            hi,
-            a,
-            h,
-        )
-        hi = ONE
     return ConditionalOutcome(
         interval=Interval(lo, hi),
-        clamped=clamped,
+        clamped=False,
         superadditive=super_flag,
     )

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .capacity import Capacity, capacity_interval, capacity_interval_prime
-from .errors import ConstraintError, PreconditionError
+from .errors import ConstraintError
 from .measure import (
     ONE,
     ZERO,
@@ -45,7 +45,7 @@ from .measure import (
     as_rational,
     interval_measure,
 )
-from .space import Event
+from .space import Event, check_space
 
 __all__ = [
     "IntervalCDF",
@@ -136,8 +136,7 @@ def interval_cdf(
     segment is ``Q_r({}) = [0, E[r]]``; at and beyond the maximum the
     event is the universe, giving [1, 1].
     """
-    if p.space != x.space or r.space != x.space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(x.space, p, r)
     return _build_cdf(x, lambda event: interval_measure(p, r, event))
 
 
@@ -154,11 +153,9 @@ def capacity_interval_cdf(
     sublevel event; with ``prime=True`` it is
     ``capacity_interval_prime``.
     """
-    if nu.space != x.space or r.space != x.space:
-        raise PreconditionError("arguments live on different spaces")
-    if prime:
-        return _build_cdf(x, lambda event: capacity_interval_prime(nu, r, event))
-    return _build_cdf(x, lambda event: capacity_interval(nu, r, event))
+    check_space(x.space, nu, r)
+    rule = capacity_interval_prime if prime else capacity_interval
+    return _build_cdf(x, lambda event: rule(nu, r, event))
 
 
 @dataclass(frozen=True)
@@ -218,8 +215,7 @@ def stratified_cdf_closed_form(
     reconciliation.
     """
     space = p.space
-    if y.space != space:
-        raise PreconditionError("measure and variable live on different spaces")
+    check_space(space, y)
     classes = space.z_classes
     thresholds = [as_rational(v) for v in t_values]
     if len(thresholds) != len(classes):
@@ -308,8 +304,7 @@ def dominates(
     between merged breakpoints, so the sweep over the merged grid (plus
     one point below the minimum) is exhaustive.
     """
-    if p.space != x.space or r.space != x.space or y.space != x.space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(x.space, p, r, y)
     return _dominates_on_grid(
         interval_cdf(p, r, x), interval_cdf(p, r, y), _merged_grid(x, y)
     )

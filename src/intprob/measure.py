@@ -19,10 +19,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
-from .errors import ConstraintError, PreconditionError
-from .space import Event, Space, indecisive_set, iter_bits
+from .errors import ConstraintError
+from .space import (
+    DIGIT_LIMIT,
+    EDGE_LIMIT,
+    PAIR_LIMIT,
+    Event,
+    Space,
+    check_size,
+    check_space,
+    disjoint_pairs,
+    indecisive_set,
+    iter_bits,
+    lattice_edges,
+)
 
 __all__ = [
     "Rational",
@@ -50,11 +62,28 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _literal_digits(text: str) -> int:
+    """Upper bound on the digits of the numerator and denominator of ``text``.
+
+    ``p/q`` needs the longer of ``p`` and ``q``; a decimal ``m.d e k``
+    needs at most ``len(md) + |k| + 1``.
+    """
+    mantissa, e, exponent = text.lower().partition("e")
+    shift = "".join(c for c in exponent if c.isdigit()).lstrip("0")
+    if len(shift) > len(str(DIGIT_LIMIT)):
+        return DIGIT_LIMIT + 1
+    digits = max(sum(c.isdigit() for c in part) for part in mantissa.split("/"))
+    return digits + int(shift or 0) + 1 if e or "." in mantissa else digits
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ``value`` (Fraction, int, or a string like ``"3/4"``) exactly.
 
     Floats are rejected: binary floats silently misrepresent decimal
-    inputs, and this package promises exact results.
+    inputs, and this package promises exact results.  A string whose
+    value would need more than :data:`DIGIT_LIMIT` digits is rejected
+    before it is built, and error messages quote at most 40 characters
+    of it.
     """
     if isinstance(value, Fraction):
         return value
@@ -63,10 +92,20 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        clipped = value[:40] + "..." if len(value) > 40 else value
+        # Without an exponent a literal has no more digits than characters.
+        suspect = len(value) > DIGIT_LIMIT or "e" in value or "E" in value
+        if suspect and _literal_digits(value) > DIGIT_LIMIT:
+            raise ConstraintError(
+                f"rational {clipped!r} needs more than {DIGIT_LIMIT} digits",
+                witness=clipped,
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConstraintError(f"cannot parse rational {value!r}", witness=value) from exc
+            raise ConstraintError(
+                f"cannot parse rational {clipped!r}", witness=clipped
+            ) from exc
     raise ConstraintError(
         f"not an exact rational: {value!r} (floats are rejected)", witness=value
     )
@@ -118,7 +157,7 @@ def _coerce_values(
 
 
 def _values_from_map(
-    space: Space, mapping: Mapping[str, RationalLike], default: Fraction, what: str
+    space: Space, mapping: Mapping[str, RationalLike], default: Fraction
 ) -> tuple[Fraction, ...]:
     values = [default] * space.omega_size
     for name, raw in mapping.items():
@@ -159,12 +198,11 @@ class ProbabilityMeasure:
         cls, space: Space, mapping: Mapping[str, RationalLike]
     ) -> ProbabilityMeasure:
         """Build from an eventuality-name map; omitted entries get mass 0."""
-        return cls(space, _values_from_map(space, mapping, ZERO, "mass"))
+        return cls(space, _values_from_map(space, mapping, ZERO))
 
     def __call__(self, event: Event) -> Fraction:
         """P(event)."""
-        if event.space != self.space:
-            raise PreconditionError("event and measure live on different spaces")
+        check_space(self.space, event)
         return sum((self.values[i] for i in iter_bits(event.mask)), ZERO)
 
 
@@ -198,9 +236,7 @@ class RandomVariable:
         mapping: Mapping[str, RationalLike],
         default: RationalLike = 0,
     ) -> RandomVariable:
-        return cls(
-            space, _values_from_map(space, mapping, as_rational(default), "variable")
-        )
+        return cls(space, _values_from_map(space, mapping, as_rational(default)))
 
     def sublevel(self, t: RationalLike) -> Event:
         """The event {self <= t}."""
@@ -248,9 +284,7 @@ class UncertaintyDegree:
         default: RationalLike = 1,
     ) -> UncertaintyDegree:
         """Build from an eventuality-name map; omitted entries default to 1."""
-        return cls(
-            space, _values_from_map(space, mapping, as_rational(default), "degree")
-        )
+        return cls(space, _values_from_map(space, mapping, as_rational(default)))
 
 
 def uncertainty_variable(
@@ -261,8 +295,7 @@ def uncertainty_variable(
     Identically zero when the indecisive set is empty (and, trivially,
     when ``r`` is identically zero).
     """
-    if h.space != space or r.space != space:
-        raise PreconditionError("event/degree do not belong to the given space")
+    check_space(space, h, r)
     ind_mask = indecisive_set(space, h).mask
     values = tuple(
         r.values[i] if (ind_mask >> i) & 1 else ZERO for i in range(space.omega_size)
@@ -272,8 +305,7 @@ def uncertainty_variable(
 
 def expectation(p: ProbabilityMeasure, v: RandomVariable) -> Fraction:
     """Exact expectation of ``v`` under ``p``."""
-    if p.space != v.space:
-        raise PreconditionError("measure and variable live on different spaces")
+    check_space(p.space, v)
     return sum((m * x for m, x in zip(p.values, v.values)), ZERO)
 
 
@@ -287,22 +319,17 @@ def interval_measure(
     right endpoint equals ``1 - P(H_w^c)``, the probability left once
     the weak complement is excluded.
     """
-    if p.space != h.space or r.space != h.space:
-        raise PreconditionError("arguments live on different spaces")
+    check_space(h.space, p, r)
     lo = p(h)
-    hi = lo + expectation(p, uncertainty_variable(h.space, h, r))
-    return Interval(lo, hi)
+    ind = indecisive_set(h.space, h).mask
+    width = sum((p.values[i] * r.values[i] for i in iter_bits(ind)), ZERO)
+    return Interval(lo, lo + width)
 
 
 def marginal_mass(p: ProbabilityMeasure, bits: str) -> Fraction:
     """Mass of the bit pattern: ``f(bits) = sum over labels of P(label, bits)``."""
     space = p.space
-    if len(bits) != space.n or any(c not in "01" for c in bits):
-        raise ConstraintError(
-            f"bit sequence must be {space.n} characters of 0/1, got {bits!r}",
-            witness=bits,
-        )
-    value = int(bits, 2)
+    value = space.index_of(space.e_labels[0], bits)  # validates ``bits``
     block = 1 << space.n
     return sum(
         (p.values[e_idx * block + value] for e_idx in range(len(space.e_labels))),
@@ -316,10 +343,10 @@ class ValidationReport:
 
     ``mode`` records how the sweep was performed:
 
-    * ``"exhaustive-pairs"`` (|Omega| <= 12): every disjoint pair is
-      checked for left-endpoint additivity and every nested pair for
-      width anti-monotonicity; the witness lists are complete.
-    * ``"lattice-edges"`` (12 < |Omega| <= 16): only single-element
+    * ``"exhaustive-pairs"`` (|Omega| <= ``PAIR_LIMIT``): every disjoint
+      pair is checked for left-endpoint additivity and every nested pair
+      for width anti-monotonicity; the witness lists are complete.
+    * ``"lattice-edges"`` (up to ``EDGE_LIMIT``): only single-element
       extensions ``S -> S + {x}`` are checked.  This is equivalent:
       edge additivity plus ``lo({}) = 0`` forces ``lo(S)`` to equal the
       sum of its singletons (induction on |S|), which is finite
@@ -341,32 +368,26 @@ class ValidationReport:
         return self.boundary_ok and self.additive and self.widths_antimonotone
 
 
-_EXHAUSTIVE_LIMIT = 12
-_EDGE_LIMIT = 16
-
-
 def validate_imprecise(q: Mapping[Event, Interval]) -> ValidationReport:
     """Check the two imprecise-probability axioms on a complete event map.
 
     ``q`` must assign an :class:`Interval` to *every* event of one
-    space with at most 16 eventualities.  The report states whether
+    space with at most ``EDGE_LIMIT`` eventualities.  The report states
+    whether
 
     a. ``H -> lo(q(H))`` is finitely additive with ``lo(q({})) = 0``
        and ``lo(q(Omega)) = 1``, and
     b. ``H1 <= H2`` implies ``width(q(H2)) <= width(q(H1))``,
 
     listing the violating pairs for each failed axiom (all of them in
-    exhaustive mode, all violating lattice edges above 12 eventualities
+    exhaustive mode, all violating lattice edges above ``PAIR_LIMIT``
     — see :class:`ValidationReport`).
     """
     if not q:
         raise ConstraintError("empty interval map")
     space = next(iter(q)).space
     size = space.omega_size
-    if size > _EDGE_LIMIT:
-        raise PreconditionError(
-            f"validate_imprecise handles at most {_EDGE_LIMIT} eventualities, got {size}"
-        )
+    check_size("validate_imprecise", size, EDGE_LIMIT)
     n_events = 1 << size
     if len(q) != n_events:
         raise ConstraintError(
@@ -390,15 +411,11 @@ def validate_imprecise(q: Mapping[Event, Interval]) -> ValidationReport:
     additivity_bad: list[tuple[Event, Event]] = []
     width_bad: list[tuple[Event, Event]] = []
 
-    if size <= _EXHAUSTIVE_LIMIT:
+    if size <= PAIR_LIMIT:
         mode = "exhaustive-pairs"
-        for a in range(1, n_events):
-            comp = full & ~a
-            b = comp
-            while b:
-                if b < a and lo[a | b] != lo[a] + lo[b]:
-                    additivity_bad.append((Event(space, a), Event(space, b)))
-                b = (b - 1) & comp
+        for a, b in disjoint_pairs(size):
+            if lo[a | b] != lo[a] + lo[b]:
+                additivity_bad.append((Event(space, a), Event(space, b)))
         for sup in range(n_events):
             w_sup = width[sup]
             sub = sup
@@ -410,16 +427,11 @@ def validate_imprecise(q: Mapping[Event, Interval]) -> ValidationReport:
                 sub = (sub - 1) & sup
     else:
         mode = "lattice-edges"
-        for s in range(n_events):
-            lo_s = lo[s]
-            w_s = width[s]
-            rest = full & ~s
-            for x in iter_bits(rest):
-                ext = s | (1 << x)
-                if lo[ext] != lo_s + lo[1 << x]:
-                    additivity_bad.append((Event(space, s), Event(space, ext)))
-                if width[ext] > w_s:
-                    width_bad.append((Event(space, s), Event(space, ext)))
+        for s, ext in lattice_edges(size):
+            if lo[ext] != lo[s] + lo[ext ^ s]:
+                additivity_bad.append((Event(space, s), Event(space, ext)))
+            if width[ext] > width[s]:
+                width_bad.append((Event(space, s), Event(space, ext)))
 
     return ValidationReport(
         boundary_ok=boundary_ok,

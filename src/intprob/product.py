@@ -23,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PreconditionError
 from .measure import (
     Interval,
     ProbabilityMeasure,
     UncertaintyDegree,
     interval_measure,
 )
-from .space import Event, Space
+from .space import TABLE_LIMIT, Event, Space, check_size, check_space, uncovered_union
 
 __all__ = [
     "ProductSpace",
@@ -39,11 +38,6 @@ __all__ = [
     "product_interval",
     "native_interval",
 ]
-
-#: Largest flat universe a product may build (matches the capacity
-#: table guard; exhaustive sweeps over flat events stay tractable).
-FLAT_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class ProductSpace:
@@ -96,25 +90,13 @@ class ProductSpace:
 
     def coarse_indecisive(self, h: Event) -> Event:
         """Union of the coarse classes that ``h`` does not meet."""
-        if h.space != self.flat:
-            raise PreconditionError("event does not live on the flat space")
-        mask = 0
-        for w in self.w_classes:
-            if w.mask & h.mask == 0:
-                mask |= w.mask
-        return Event(self.flat, mask)
+        check_space(self.flat, h)
+        return Event(self.flat, uncovered_union(self.w_classes, h.mask))
 
 
 def product_space(left: Space, right: Space) -> ProductSpace:
-    """Combine two factor spaces, guarding the flat size."""
-    flat_size = len(left.e_labels) * len(right.e_labels) * (
-        1 << (left.n + right.n)
-    )
-    if flat_size > FLAT_LIMIT:
-        raise PreconditionError(
-            f"flat product universe would have {flat_size} eventualities "
-            f"(limit {FLAT_LIMIT})"
-        )
+    """Combine two factor spaces, guarding the flat size by ``TABLE_LIMIT``."""
+    check_size("flat product", left.omega_size * right.omega_size, TABLE_LIMIT)
     return ProductSpace(left, right)
 
 
@@ -122,8 +104,8 @@ def flat_measure(
     ps: ProductSpace, p_left: ProbabilityMeasure, p_right: ProbabilityMeasure
 ) -> ProbabilityMeasure:
     """The product measure ``P⊗P`` on the flat space."""
-    if p_left.space != ps.left or p_right.space != ps.right:
-        raise PreconditionError("factor measures do not match the factor spaces")
+    check_space(ps.left, p_left)
+    check_space(ps.right, p_right)
     flat = ps.flat
     n_right = ps.right.n
     block_left = 1 << ps.left.n
@@ -155,8 +137,7 @@ def product_interval(
     set taken over the coarse classes.
     """
     mass = flat_measure(ps, p_left, p_right)
-    if h.space != ps.flat:
-        raise PreconditionError("event does not live on the flat space")
+    check_space(ps.flat, h)
     lo = mass(h)
     return Interval(lo, lo + mass(ps.coarse_indecisive(h)))
 

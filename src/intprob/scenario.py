@@ -186,7 +186,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConstraintError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to read
         raise ConstraintError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return parse_scenario(doc)
 

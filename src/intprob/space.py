@@ -37,6 +37,14 @@ __all__ = [
     "weak_complement",
 ]
 
+# Size policy, one limit per exponential cost.  ``check_size`` refuses a
+# larger universe with PreconditionError (CLI exit 3); ``as_rational``
+# refuses a longer literal with ConstraintError (CLI exit 2).
+TABLE_LIMIT = 20  # subset tables and flat products: 2^20 rationals
+PAIR_LIMIT = 12  # disjoint-pair sweeps: (3^12 - 2^13 + 1) / 2 pairs
+EDGE_LIMIT = 16  # lattice-edge sweeps: 16 * 2^15 edges over 2^16 events
+DIGIT_LIMIT = 4300  # digits of a literal's numerator or denominator
+
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in ascending order."""
@@ -44,6 +52,56 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def check_space(space: Space, *objects) -> None:
+    """Refuse any of ``objects`` (events, measures, ...) not on ``space``."""
+    for obj in objects:
+        if obj.space is not space and obj.space != space:
+            raise PreconditionError("arguments live on different spaces")
+
+
+def check_size(what: str, size: int, limit: int) -> None:
+    """Refuse a universe of ``size`` eventualities above ``limit``."""
+    if size > limit:
+        raise PreconditionError(
+            f"{what} handles at most {limit} eventualities, got {size}"
+        )
+
+
+def disjoint_pairs(size: int) -> Iterator[tuple[int, int]]:
+    """Every pair ``(a, b)`` of disjoint nonempty masks with ``b < a``.
+
+    ``a`` ascends and, per ``a``, ``b`` descends.  A mask disjoint from
+    ``a`` is below it exactly when it lies under ``a``'s top bit.
+    """
+    full = (1 << size) - 1
+    for a in range(1, full + 1):
+        below = ~a & ((1 << (a.bit_length() - 1)) - 1)
+        b = below
+        while b:
+            yield a, b
+            b = (b - 1) & below
+
+
+def lattice_edges(size: int) -> Iterator[tuple[int, int]]:
+    """Every edge ``(s, s | 1 << x)``: ``s`` ascending, then ``x`` ascending."""
+    full = (1 << size) - 1
+    for s in range(full + 1):
+        rest = full & ~s
+        while rest:
+            low = rest & -rest
+            yield s, s | low
+            rest ^= low
+
+
+def uncovered_union(classes: Iterable[Event], mask: int) -> int:
+    """Mask of the union of the ``classes`` that ``mask`` does not meet."""
+    out = 0
+    for z in classes:
+        if not z.mask & mask:
+            out |= z.mask
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,20 +230,16 @@ class Event:
                 witness=self.mask,
             )
 
-    def _check_same_space(self, other: Event) -> None:
-        if self.space != other.space:
-            raise PreconditionError("events belong to different spaces")
-
     def __or__(self, other: Event) -> Event:
-        self._check_same_space(other)
+        check_space(self.space, other)
         return Event(self.space, self.mask | other.mask)
 
     def __and__(self, other: Event) -> Event:
-        self._check_same_space(other)
+        check_space(self.space, other)
         return Event(self.space, self.mask & other.mask)
 
     def __sub__(self, other: Event) -> Event:
-        self._check_same_space(other)
+        check_space(self.space, other)
         return Event(self.space, self.mask & ~other.mask)
 
     def complement(self) -> Event:
@@ -204,11 +258,11 @@ class Event:
         return self.mask != 0
 
     def __le__(self, other: Event) -> bool:
-        self._check_same_space(other)
+        check_space(self.space, other)
         return self.mask & ~other.mask == 0
 
     def isdisjoint(self, other: Event) -> bool:
-        self._check_same_space(other)
+        check_space(self.space, other)
         return self.mask & other.mask == 0
 
     def members(self) -> tuple[str, ...]:
@@ -246,13 +300,8 @@ def indecisive_set(space: Space, h: Event) -> Event:
     universe (so ``Omega_ind`` is empty) and none meets the empty event
     (so ``{}_ind`` is the whole universe).
     """
-    if h.space != space:
-        raise PreconditionError("event does not belong to the given space")
-    mask = 0
-    for z in space.z_classes:
-        if z.mask & h.mask == 0:
-            mask |= z.mask
-    return Event(space, mask)
+    check_space(space, h)
+    return Event(space, uncovered_union(space.z_classes, h.mask))
 
 
 def weak_complement(space: Space, h: Event) -> Event:

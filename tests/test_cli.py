@@ -243,6 +243,47 @@ class TestValidate:
         assert rc == 0
         assert "PASSED" in out
 
+    def test_oversized_space_refused_before_enumeration(self, tmp_path):
+        """|Omega| = 32 has 2^32 events; the size guard must fire first."""
+        doc = {"n": 5, "e_labels": ["x0"], "mass": {"x0,00000": "1"}}
+        path = tmp_path / "n5.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intprob", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            timeout=30,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert error_record(proc.stderr)["kind"] == "precondition"
+
+
+class TestOversizedNumbers:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 1, "e_labels": ["a"], "mass": {"a,0": ' + "1" * 5000 + "}}",
+            '{"n": 1, "e_labels": ["a"], "mass": {"a,0": "1e5000"}}',
+            '{"n": 1, "e_labels": ["a"], "mass": {"a,0": "1e200000"}}',
+            '{"n": 1, "e_labels": ["a"], "mass": {"a,0": "1e-5000"}}',
+            '{"n": 1, "e_labels": ["a"], "mass": {"a,0": "1/' + "7" * 5000 + '"}}',
+            '{"n": 1, "e_labels": ["a"], "mass": {"a,0": "1"}, '
+            '"variables": {"X": {"a,0": "1e' + "9" * 5000 + '"}}}',
+        ],
+        ids=["bare-int", "1e5000", "1e200000", "1e-5000", "long-denominator", "long-exponent"],
+    )
+    def test_exits_two_with_one_record(self, capsys, tmp_path, text):
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        rc, out, err = run(capsys, "interval", str(path), "H")
+        assert rc == 2
+        assert out == ""
+        record = error_record(err)
+        assert record["kind"] == "constraint"
+        assert len(record["message"]) < 300
+
 
 class TestArgparse:
     def test_unknown_subcommand_exits_two(self, capsys):

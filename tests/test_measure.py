@@ -33,6 +33,22 @@ class TestRationalCoercion:
             ip.as_rational("pi")
 
 
+    @pytest.mark.parametrize(
+        "text",
+        ["9" * 4300, "1/" + "7" * 4300, "." + "3" * 4299, "1e4298", "2.5e-4297"],
+    )
+    def test_accepts_literals_up_to_the_digit_limit(self, text):
+        assert ip.as_rational(text) == Fraction(text)
+
+    @pytest.mark.parametrize(
+        "text", ["9" * 4301, "1e4300", "1e-4300", ".1e-4299", "1e" + "9" * 5000]
+    )
+    def test_rejects_longer_literals_before_building_them(self, text):
+        with pytest.raises(ConstraintError, match="more than 4300 digits") as info:
+            ip.as_rational(text)
+        assert len(str(info.value)) < 100
+
+
 class TestInterval:
     def test_ordering_and_bounds(self):
         ip.Interval(Fraction(0), Fraction(1))

@@ -8,7 +8,9 @@ module long before the acceptance gate runs.
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +284,23 @@ class TestOracleGuards:
         p = ip.ProbabilityMeasure.uniform(space)
         with pytest.raises(PreconditionError):
             oracle.oracle_product_interval(ps, p, p, ps.flat.universe)
+
+    def test_imports_nothing_from_the_kernel(self):
+        """Shared kernel helpers would make kernel/oracle agreement a tautology."""
+        tree = ast.parse(Path(oracle.__file__).read_text())
+        package_imports = [
+            (node.level, node.module)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("intprob"))
+        ]
+        assert package_imports == [(1, "errors")]
+        assert not any(
+            alias.name.startswith("intprob")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+        )
 
     def test_limit_is_twelve(self):
         assert oracle.ORACLE_LIMIT == 12

@@ -227,3 +227,14 @@ class TestFiles:
         for path in paths:
             sc = ip.load_scenario(path)
             assert sc.mass(sc.space.universe) == 1
+
+    def test_readme_example_parses(self):
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        blocks = readme.split("```json\n")
+        assert len(blocks) == 2, "README should hold exactly one json block"
+        sc = ip.parse_scenario(json.loads(blocks[1].split("```")[0]))
+        assert sorted(sc.capacities) == ["belief", "bend", "square", "table"]
+        assert sc.capacities["table"].is_additive()
+        assert sc.capacities["square"](sc.events["H"]) == Fraction(1, 16)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fractions import Fraction
+
 import intprob as ip
 from intprob.errors import ConstraintError, PreconditionError
+from intprob.space import disjoint_pairs, lattice_edges
 
 from conftest import events, spaces
 
@@ -224,3 +227,73 @@ class TestIndecisiveAndWeakComplement:
         h = data.draw(events(space))
         k = h | data.draw(events(space))
         assert ip.indecisive_set(space, k) <= ip.indecisive_set(space, h)
+
+
+class TestSweepWalks:
+    @pytest.mark.parametrize("n", range(9))
+    def test_disjoint_pairs_once_each_in_order(self, n):
+        pairs = list(disjoint_pairs(n))
+        expected = [
+            (a, b)
+            for a in range(1 << n)
+            for b in range(a - 1, 0, -1)  # per a, decreasing b
+            if a & b == 0
+        ]
+        assert pairs == expected
+        assert len(pairs) == (3**n - 2 ** (n + 1) + 1) // 2
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_lattice_edges_are_single_point_extensions(self, n):
+        edges = list(lattice_edges(n))
+        expected = [
+            (s, s | 1 << x)
+            for s in range(1 << n)
+            for x in range(n)
+            if not s >> x & 1
+        ]
+        assert edges == expected
+        assert len(edges) == n * 2**n // 2
+
+
+def _mixed_space_calls():
+    """Every public entry point that checks spaces, called with one foreign argument."""
+    space = ip.build_space(2, ["x0"])
+    other = ip.build_space(1, ["a"])
+    p = ip.ProbabilityMeasure.uniform(space)
+    r = ip.UncertaintyDegree.ones(space)
+    h = space.event(["x0,10"])
+    foreign = other.universe
+    nu = ip.distort(p, ip.power_distortion(2))
+    foreign_x = ip.RandomVariable.constant(other, 1)
+    ps = ip.product_space(space, space)
+    half = Fraction(1, 2)
+    return {
+        "Event.__and__": lambda: h & foreign,
+        "Event.__sub__": lambda: h - foreign,
+        "Event.__le__": lambda: h <= foreign,
+        "weak_complement": lambda: ip.weak_complement(space, foreign),
+        "ProbabilityMeasure.__call__": lambda: p(foreign),
+        "uncertainty_variable": lambda: ip.uncertainty_variable(space, foreign, r),
+        "capacity_interval": lambda: ip.capacity_interval(nu, r, foreign),
+        "capacity_interval_prime": lambda: ip.capacity_interval_prime(nu, r, foreign),
+        "ds_conditional": lambda: ip.ds_conditional(nu, foreign, h),
+        "ds_conditional_weak": lambda: ip.ds_conditional_weak(nu, h, foreign),
+        "effective_weight": lambda: ip.effective_weight(nu, r, h, foreign),
+        "uncertainty_weight": lambda: ip.uncertainty_weight(nu, r, foreign, h),
+        "capacity_conditional": lambda: ip.capacity_conditional(nu, r, foreign, h),
+        "capacity_conditional_prime": lambda: ip.capacity_conditional_prime(
+            nu, r, h, foreign
+        ),
+        "capacity_interval_cdf": lambda: ip.capacity_interval_cdf(nu, r, foreign_x),
+        "stratified_cdf_closed_form": lambda: ip.stratified_cdf_closed_form(
+            p, [half], foreign_x, half
+        ),
+        "native_interval": lambda: ip.native_interval(ps, p, p, h),
+    }
+
+
+class TestMixedSpaces:
+    @pytest.mark.parametrize("entry", sorted(_mixed_space_calls()))
+    def test_rejected(self, entry):
+        with pytest.raises(PreconditionError, match="different spaces"):
+            _mixed_space_calls()[entry]()
