@@ -10,130 +10,21 @@ dominance, and product interval measures are layered on top, each with
 an independent brute-force oracle used by the test suite.
 """
 
-from .capacity import (
-    AdditivityProfile,
-    Capacity,
-    PiecewiseLinear,
-    belief_from_mass,
-    capacity_from_table,
-    capacity_interval,
-    capacity_interval_prime,
-    choquet,
-    distort,
-    is_superadditive,
-    power_distortion,
-)
-from .conditioning import (
-    ConditionalOutcome,
-    capacity_conditional,
-    capacity_conditional_prime,
-    conditional_interval,
-    ds_conditional,
-    ds_conditional_weak,
-    effective_weight,
-    uncertainty_weight,
-)
-from .dominance import (
-    CaveatWitness,
-    ClosedFormComparison,
-    DominanceVerdict,
-    IntervalCDF,
-    capacity_interval_cdf,
-    dominates,
-    find_width_caveat,
-    interval_cdf,
-    stratified_cdf_closed_form,
-)
-from .errors import ConstraintError, IntprobError, PreconditionError
-from .measure import (
-    Interval,
-    ProbabilityMeasure,
-    RandomVariable,
-    Rational,
-    UncertaintyDegree,
-    ValidationReport,
-    as_rational,
-    expectation,
-    interval_measure,
-    marginal_mass,
-    uncertainty_variable,
-    validate_imprecise,
-)
-from .product import (
-    ProductSpace,
-    flat_measure,
-    native_interval,
-    product_interval,
-    product_space,
-)
-from .scenario import (
-    Scenario,
-    dump_scenario,
-    load_scenario,
-    parse_scenario,
-    scenario_to_doc,
-)
-from .space import Event, Space, build_space, indecisive_set, weak_complement
+from . import capacity, conditioning, dominance, errors, measure, product, scenario, space
+from .capacity import *
+from .conditioning import *
+from .dominance import *
+from .errors import *
+from .measure import *
+from .product import *
+from .scenario import *
+from .space import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditivityProfile",
-    "Capacity",
-    "CaveatWitness",
-    "ClosedFormComparison",
-    "ConditionalOutcome",
-    "ConstraintError",
-    "DominanceVerdict",
-    "Event",
-    "Interval",
-    "IntervalCDF",
-    "IntprobError",
-    "PiecewiseLinear",
-    "PreconditionError",
-    "ProbabilityMeasure",
-    "ProductSpace",
-    "RandomVariable",
-    "Rational",
-    "Scenario",
-    "Space",
-    "UncertaintyDegree",
-    "ValidationReport",
-    "as_rational",
-    "belief_from_mass",
-    "build_space",
-    "capacity_conditional",
-    "capacity_conditional_prime",
-    "capacity_from_table",
-    "capacity_interval",
-    "capacity_interval_cdf",
-    "capacity_interval_prime",
-    "choquet",
-    "conditional_interval",
-    "distort",
-    "dominates",
-    "ds_conditional",
-    "ds_conditional_weak",
-    "dump_scenario",
-    "effective_weight",
-    "expectation",
-    "find_width_caveat",
-    "flat_measure",
-    "indecisive_set",
-    "interval_cdf",
-    "interval_measure",
-    "is_superadditive",
-    "load_scenario",
-    "marginal_mass",
-    "native_interval",
-    "parse_scenario",
-    "power_distortion",
-    "product_interval",
-    "product_space",
-    "scenario_to_doc",
-    "stratified_cdf_closed_form",
-    "uncertainty_variable",
-    "uncertainty_weight",
-    "validate_imprecise",
-    "weak_complement",
-]
+# Each module's ``__all__`` is the one list of its public names.
+__all__ = sorted(
+    name
+    for module in (capacity, conditioning, dominance, errors, measure, product, scenario, space)
+    for name in module.__all__
+)

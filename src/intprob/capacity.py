@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .errors import ConstraintError
+from .errors import ConstraintError, PreconditionError
 from .measure import (
     ONE,
     ZERO,
@@ -35,10 +35,13 @@ from .measure import (
     RationalLike,
     UncertaintyDegree,
     as_rational,
+    clipped,
 )
 from .space import (
+    DIGIT_LIMIT,
     PAIR_LIMIT,
     TABLE_LIMIT,
+    TOO_LONG,
     Event,
     Space,
     check_size,
@@ -154,7 +157,7 @@ def belief_from_mass(
         if w > 0:
             focal.append((event.mask, w))
     if total != 1:
-        raise ConstraintError(f"masses must sum to exactly 1, got {total}")
+        raise ConstraintError(f"masses must sum to exactly 1, got {clipped(total)}")
     n_events = 1 << space.omega_size
     table = tuple(
         sum((w for b, w in focal if b & ~mask == 0), ZERO)
@@ -164,10 +167,24 @@ def belief_from_mass(
 
 
 def power_distortion(exponent: int) -> Callable[[Fraction], Fraction]:
-    """The map ``t -> t**exponent`` (convex for exponent >= 1)."""
+    """The map ``t -> t**exponent`` (convex for exponent >= 1).
+
+    A power with a part that must exceed ``DIGIT_LIMIT`` digits is refused unbuilt.
+    """
     if not isinstance(exponent, int) or exponent < 1:
         raise ConstraintError(f"exponent must be a positive integer, got {exponent!r}")
-    return lambda t: t**exponent
+
+    def power(t: Fraction) -> Fraction:
+        # A part of b bits is at least 2^(b-1); its power has exponent*(b-1) bits or more.
+        bits = max(t.numerator.bit_length(), t.denominator.bit_length())
+        if exponent * (bits - 1) >= TOO_LONG.bit_length():
+            raise PreconditionError(
+                f"({clipped(t)})**{exponent} needs more than {DIGIT_LIMIT} digits",
+                witness=clipped(t),
+            )
+        return t**exponent
+
+    return power
 
 
 @dataclass(frozen=True)
@@ -229,13 +246,14 @@ def distort(
     images = {t: apply(t) for t in attained}
     if images[ZERO] != 0 or images[ONE] != 1:
         raise ConstraintError(
-            f"distortion must map 0 to 0 and 1 to 1, got g(0)={images[ZERO]}, "
-            f"g(1)={images[ONE]}"
+            f"distortion must map 0 to 0 and 1 to 1, got g(0)={clipped(images[ZERO])}, "
+            f"g(1)={clipped(images[ONE])}"
         )
     for t0, t1 in zip(attained, attained[1:]):
         if images[t1] < images[t0]:
             raise ConstraintError(
-                "distortion is not monotone", witness=((t0, images[t0]), (t1, images[t1]))
+                "distortion is not monotone",
+                witness=tuple((clipped(t), clipped(images[t])) for t in (t0, t1)),
             )
     table = tuple(images[prob] for prob in probs)
     return Capacity(p.space, table)

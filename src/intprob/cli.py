@@ -48,9 +48,14 @@ from .measure import (
 )
 from .product import native_interval, product_interval, product_space
 from .scenario import load_scenario
-from .space import EDGE_LIMIT, build_space, check_size, indecisive_set, weak_complement
+from .space import EDGE_LIMIT, build_space, check_digits, check_size, indecisive_set, weak_complement
 
 __all__ = ["main"]
+
+
+def _exact(x: Fraction) -> str:
+    check_digits("a printed result", x)
+    return str(x)
 
 
 def _approx(x: Fraction) -> str:
@@ -58,11 +63,11 @@ def _approx(x: Fraction) -> str:
 
 
 def _fmt_rational(x: Fraction) -> str:
-    return f"{x} (~{_approx(x)})"
+    return f"{_exact(x)} (~{_approx(x)})"
 
 
 def _fmt_interval(iv: Interval) -> str:
-    return f"[{iv.lo}, {iv.hi}] (~[{_approx(iv.lo)}, {_approx(iv.hi)}])"
+    return f"[{_exact(iv.lo)}, {_exact(iv.hi)}] (~[{_approx(iv.lo)}, {_approx(iv.hi)}])"
 
 
 def _fmt_outcome(outcome: ConditionalOutcome) -> str:

@@ -28,10 +28,10 @@ from .capacity import Capacity, _grid_integral, is_superadditive
 from .errors import PreconditionError
 from .measure import (
     ONE,
-    ZERO,
     Interval,
     ProbabilityMeasure,
     UncertaintyDegree,
+    _masked_sum,
 )
 from .space import PAIR_LIMIT, Event, check_space, indecisive_set, weak_complement
 
@@ -78,38 +78,21 @@ def conditional_interval(
     check_space(space, p, r, a)
     h_ind = indecisive_set(space, h).mask
     a_ind = indecisive_set(space, a).mask
-    denom = ZERO
-    lo_num = ZERO
-    hi_num = ZERO
-    for i, mass in enumerate(p.values):
-        if not mass:
-            continue
-        bit = 1 << i
-        h_weight = (
-            ONE if bit & h.mask else (r.values[i] if bit & h_ind else ZERO)
-        )
-        if not h_weight:
-            continue
-        a_weight = (
-            ONE if bit & a.mask else (r.values[i] if bit & a_ind else ZERO)
-        )
-        denom += mass * h_weight
-        hi_num += mass * a_weight * h_weight
-        if bit & a.mask:
-            if bit & h.mask:
-                lo_num += mass
-            elif bit & h_ind:
-                lo_num += mass * r.values[i]
-    if not allow_null_conditioning:
-        if p(h) == 0:
-            raise PreconditionError(
-                "conditioning event has probability zero", witness=h
-            )
-    elif denom == 0:
+    mass, degree = p.values, r.values
+    p_h = _masked_sum(h.mask, mass)
+    if not allow_null_conditioning and p_h == 0:
+        raise PreconditionError("conditioning event has probability zero", witness=h)
+    denom = p_h + _masked_sum(h_ind, mass, degree)
+    if denom == 0:
         raise PreconditionError(
             "conditioning denominator is zero even with graded uncertainty",
             witness=h,
         )
+    # The hi integrand is 1 on A ∩ H, r on A ∩ H_ind and on A_ind ∩ H,
+    # r² on A_ind ∩ H_ind and 0 elsewhere.
+    lo_num = _masked_sum(a.mask & h.mask, mass) + _masked_sum(a.mask & h_ind, mass, degree)
+    hi_num = lo_num + _masked_sum(a_ind & h.mask, mass, degree)
+    hi_num += _masked_sum(a_ind & h_ind, mass, degree, degree)
     return Interval(lo_num / denom, hi_num / denom)
 
 

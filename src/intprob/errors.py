@@ -1,8 +1,18 @@
 """Exception hierarchy shared by all intprob modules."""
 
+__all__ = ["IntprobError", "ConstraintError", "PreconditionError"]
+
 
 class IntprobError(Exception):
-    """Base class for all intprob errors."""
+    """Base class for all intprob errors.
+
+    Carries an optional ``witness`` (a small tuple of offending values)
+    so callers can report exactly what broke.
+    """
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class ConstraintError(IntprobError):
@@ -10,14 +20,8 @@ class ConstraintError(IntprobError):
 
     Raised when building objects from invalid data: a mass function that
     does not sum to one, a capacity table that is not monotone, an
-    eventuality string that does not resolve, and so on.  Carries an
-    optional ``witness`` (a small tuple of offending values) so callers
-    can report exactly what broke.
+    eventuality string that does not resolve, and so on.
     """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class PreconditionError(IntprobError):
@@ -28,7 +32,3 @@ class PreconditionError(IntprobError):
     too large for an exhaustive sweep, or mixing values from different
     spaces.
     """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import mul
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import ConstraintError
 from .space import (
@@ -76,6 +77,20 @@ def _literal_digits(text: str) -> int:
     return digits + int(shift or 0) + 1 if e or "." in mantissa else digits
 
 
+def clipped(value) -> str:
+    """``value`` as text of at most 40 characters, for messages and witnesses.
+
+    A rational with a part of more than 40 digits is shown by the size of
+    that part, read off its bit length, so no long digit string is built.
+    """
+    if isinstance(value, (Fraction, int)):
+        part = max(abs(value.numerator), value.denominator)
+        if part >= 10**40:
+            return f"<rational with a part of ~{part.bit_length() * 30103 // 100000} digits>"
+    text = str(value)
+    return text[:40] + "..." if len(text) > 40 else text
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ``value`` (Fraction, int, or a string like ``"3/4"``) exactly.
 
@@ -92,19 +107,19 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        clipped = value[:40] + "..." if len(value) > 40 else value
+        text = clipped(value)
         # Without an exponent a literal has no more digits than characters.
         suspect = len(value) > DIGIT_LIMIT or "e" in value or "E" in value
         if suspect and _literal_digits(value) > DIGIT_LIMIT:
             raise ConstraintError(
-                f"rational {clipped!r} needs more than {DIGIT_LIMIT} digits",
-                witness=clipped,
+                f"rational {text!r} needs more than {DIGIT_LIMIT} digits",
+                witness=text,
             )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConstraintError(
-                f"cannot parse rational {clipped!r}", witness=clipped
+                f"cannot parse rational {text!r}", witness=text
             ) from exc
     raise ConstraintError(
         f"not an exact rational: {value!r} (floats are rejected)", witness=value
@@ -165,6 +180,15 @@ def _values_from_map(
     return tuple(values)
 
 
+def _masked_sum(mask: int, *columns: Sequence[Fraction]) -> Fraction:
+    """Exact sum over the points ``i`` of ``mask`` of ``columns[0][i] * columns[1][i] * ...``."""
+    points = list(iter_bits(mask))
+    terms = map(columns[0].__getitem__, points)
+    for column in columns[1:]:
+        terms = map(mul, terms, map(column.__getitem__, points))
+    return sum(terms, ZERO)
+
+
 @dataclass(frozen=True)
 class ProbabilityMeasure:
     """A probability measure given by one exact mass per eventuality.
@@ -185,7 +209,8 @@ class ProbabilityMeasure:
         total = sum(values)
         if total != 1:
             raise ConstraintError(
-                f"masses must sum to exactly 1, got {total}", witness=total
+                f"masses must sum to exactly 1, got {clipped(total)}",
+                witness=clipped(total),
             )
 
     @classmethod
@@ -203,7 +228,7 @@ class ProbabilityMeasure:
     def __call__(self, event: Event) -> Fraction:
         """P(event)."""
         check_space(self.space, event)
-        return sum((self.values[i] for i in iter_bits(event.mask)), ZERO)
+        return _masked_sum(event.mask, self.values)
 
 
 @dataclass(frozen=True)
@@ -322,8 +347,7 @@ def interval_measure(
     check_space(h.space, p, r)
     lo = p(h)
     ind = indecisive_set(h.space, h).mask
-    width = sum((p.values[i] * r.values[i] for i in iter_bits(ind)), ZERO)
-    return Interval(lo, lo + width)
+    return Interval(lo, lo + _masked_sum(ind, p.values, r.values))
 
 
 def marginal_mass(p: ProbabilityMeasure, bits: str) -> Fraction:
@@ -406,7 +430,7 @@ def validate_imprecise(q: Mapping[Event, Interval]) -> ValidationReport:
     boundary_ok = lo[0] == 0 and lo[full] == 1
     detail = None
     if not boundary_ok:
-        detail = f"lo({{}}) = {lo[0]}, lo(Omega) = {lo[full]}"
+        detail = f"lo({{}}) = {clipped(lo[0])}, lo(Omega) = {clipped(lo[full])}"
 
     additivity_bad: list[tuple[Event, Event]] = []
     width_bad: list[tuple[Event, Event]] = []

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product as iter_product
+from typing import Iterator
 
 from .measure import (
     Interval,
@@ -59,6 +61,22 @@ class ProductSpace:
         )
         return Space(self.left.n + self.right.n, labels)
 
+    def factor_pairs(self) -> Iterator[tuple[int, int]]:
+        """The ``(left, right)`` factor indices of every flat index, in order.
+
+        Flat label ``l * |E_right| + r`` pairs left label ``l`` with
+        right label ``r``, and the flat bits put the left bits above the
+        right bits.
+        """
+        left, right = self.left, self.right
+        for l_label, r_label, l_bits, r_bits in iter_product(
+            range(len(left.e_labels)),
+            range(len(right.e_labels)),
+            range(1 << left.n),
+            range(1 << right.n),
+        ):
+            yield (l_label << left.n) + l_bits, (r_label << right.n) + r_bits
+
     @cached_property
     def w_classes(self) -> tuple[Event, ...]:
         """One coarse class per ordered pair of factor classes.
@@ -68,25 +86,11 @@ class ProductSpace:
         bit pattern belongs to Z_i's complementary pattern pair and
         whose right bit pattern belongs to Z_j's.
         """
-        flat = self.flat
-        n_left, n_right = self.left.n, self.right.n
-        full_left = (1 << n_left) - 1
-        full_right = (1 << n_right) - 1
-        n_labels = len(flat.e_labels)
-        block = 1 << flat.n
-        classes = []
-        for rep_l in range(1 << (n_left - 1)):
-            pair_l = (rep_l, rep_l ^ full_left)
-            for rep_r in range(1 << (n_right - 1)):
-                pair_r = (rep_r, rep_r ^ full_right)
-                mask = 0
-                for e_idx in range(n_labels):
-                    base = e_idx * block
-                    for bl in pair_l:
-                        for br in pair_r:
-                            mask |= 1 << (base + (bl << n_right) + br)
-                classes.append(Event(flat, mask))
-        return tuple(classes)
+        masks: dict[tuple[int, int], int] = {}
+        for i, (l_index, r_index) in enumerate(self.factor_pairs()):
+            key = (self.left.class_of(l_index), self.right.class_of(r_index))
+            masks[key] = masks.get(key, 0) | 1 << i
+        return tuple(Event(self.flat, masks[key]) for key in sorted(masks))
 
     def coarse_indecisive(self, h: Event) -> Event:
         """Union of the coarse classes that ``h`` does not meet."""
@@ -106,23 +110,9 @@ def flat_measure(
     """The product measure ``P⊗P`` on the flat space."""
     check_space(ps.left, p_left)
     check_space(ps.right, p_right)
-    flat = ps.flat
-    n_right = ps.right.n
-    block_left = 1 << ps.left.n
-    block_right = 1 << n_right
-    n_labels_right = len(ps.right.e_labels)
-    values = [None] * flat.omega_size
-    block = 1 << flat.n
-    for el in range(len(ps.left.e_labels)):
-        for er in range(n_labels_right):
-            base = (el * n_labels_right + er) * block
-            for bl in range(block_left):
-                ml = p_left.values[el * block_left + bl]
-                for br in range(block_right):
-                    values[base + (bl << n_right) + br] = (
-                        ml * p_right.values[er * block_right + br]
-                    )
-    return ProbabilityMeasure(flat, tuple(values))
+    left, right = p_left.values, p_right.values
+    values = tuple(left[i] * right[j] for i, j in ps.factor_pairs())
+    return ProbabilityMeasure(ps.flat, values)
 
 
 def product_interval(

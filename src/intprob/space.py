@@ -24,6 +24,7 @@ eventuality is ``"label,bits"`` (e.g. ``"x0,10"``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -43,7 +44,9 @@ __all__ = [
 TABLE_LIMIT = 20  # subset tables and flat products: 2^20 rationals
 PAIR_LIMIT = 12  # disjoint-pair sweeps: (3^12 - 2^13 + 1) / 2 pairs
 EDGE_LIMIT = 16  # lattice-edge sweeps: 16 * 2^15 edges over 2^16 events
-DIGIT_LIMIT = 4300  # digits of a literal's numerator or denominator
+SPACE_LIMIT = 1 << 16  # one space: |E| * 2^n eventualities, checked on construction
+DIGIT_LIMIT = 4300  # digits of a rational's numerator or denominator
+TOO_LONG = 10**DIGIT_LIMIT  # the least integer with more than DIGIT_LIMIT digits
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -59,6 +62,12 @@ def check_space(space: Space, *objects) -> None:
     for obj in objects:
         if obj.space is not space and obj.space != space:
             raise PreconditionError("arguments live on different spaces")
+
+
+def check_digits(what: str, x: Fraction) -> None:
+    """Refuse a rational whose numerator or denominator exceeds ``DIGIT_LIMIT`` digits."""
+    if max(abs(x.numerator), x.denominator) >= TOO_LONG:
+        raise PreconditionError(f"{what} needs more than {DIGIT_LIMIT} digits")
 
 
 def check_size(what: str, size: int, limit: int) -> None:
@@ -131,6 +140,12 @@ class Space:
                 raise ConstraintError(f"labels must be nonempty strings, got {label!r}")
         if len(set(labels)) != len(labels):
             raise ConstraintError("labels must be distinct", witness=labels)
+        # n is judged before 2^n is built, so an absurd n allocates nothing.
+        if self.n >= SPACE_LIMIT.bit_length() or len(labels) << self.n > SPACE_LIMIT:
+            raise PreconditionError(
+                f"a space holds at most {SPACE_LIMIT} eventualities, "
+                f"got {len(labels)} label(s) x 2^{self.n}"
+            )
 
     @property
     def omega_size(self) -> int:
@@ -141,6 +156,16 @@ class Space:
     def full_mask(self) -> int:
         return (1 << self.omega_size) - 1
 
+    def class_of(self, index: int) -> int:
+        """Number of the incompatibility class holding eventuality ``index``.
+
+        A bit pattern and its complement share a class, numbered by the
+        one of the two that starts with bit 0.
+        """
+        full_bits = (1 << self.n) - 1
+        value = index & full_bits
+        return min(value, value ^ full_bits)
+
     @cached_property
     def z_classes(self) -> tuple[Event, ...]:
         """The 2^(n-1) incompatibility classes, as events.
@@ -150,17 +175,10 @@ class Space:
         whose representative (the pattern starting with bit 0) has
         numeric value ``j``.  Classes are ordered by representative.
         """
-        block = 1 << self.n
-        full_bits = block - 1
-        classes = []
-        for rep in range(1 << (self.n - 1)):
-            partner = rep ^ full_bits
-            mask = 0
-            for e_idx in range(len(self.e_labels)):
-                base = e_idx * block
-                mask |= (1 << (base + rep)) | (1 << (base + partner))
-            classes.append(Event(self, mask))
-        return tuple(classes)
+        masks = [0] * (1 << (self.n - 1))
+        for i in range(self.omega_size):
+            masks[self.class_of(i)] |= 1 << i
+        return tuple(Event(self, mask) for mask in masks)
 
     @cached_property
     def universe(self) -> Event:

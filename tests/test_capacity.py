@@ -106,6 +106,15 @@ class TestBeliefFromMass:
 
 
 class TestDistortion:
+    def test_power_over_digit_limit_refused_before_it_is_built(self):
+        half = Fraction(1, 2)
+        assert ip.power_distortion(14284)(half) == Fraction(1, 2**14284)  # 4300 digits
+        for exponent in (14285, 10**9):
+            with pytest.raises(PreconditionError):
+                ip.power_distortion(exponent)(half)
+        assert ip.power_distortion(10**9)(Fraction(1)) == 1
+        assert ip.power_distortion(10**9)(Fraction(0)) == 0
+
     def test_power_one_is_additive(self, small_fixture):
         nu = ip.distort(small_fixture.mass, ip.power_distortion(1))
         assert nu.is_additive()

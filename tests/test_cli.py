@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,78 @@ class TestOversizedNumbers:
         assert out == ""
         record = error_record(err)
         assert record["kind"] == "constraint"
+        assert len(record["message"]) < 300
+
+
+_D1, _D2 = 10**2500 + 1, 10**2500 + 3
+_FOUR = ["x0,00", "x0,01", "x0,10", "x0,11"]
+
+
+def _power_doc(exponent: int) -> dict:
+    return {
+        "n": 1,
+        "e_labels": ["x0"],
+        "mass": {"x0,0": "1/3", "x0,1": "2/3"},
+        "events": {"H": ["x0,0"]},
+        "capacities": {
+            "p": {"kind": "distortion", "distortion": {"type": "power", "exponent": exponent}}
+        },
+    }
+
+
+def _four_point_doc(masses) -> dict:
+    return {
+        "n": 2,
+        "e_labels": ["x0"],
+        "mass": {name: str(m) for name, m in zip(_FOUR, masses)},
+        "events": {"H": _FOUR[:2]},
+    }
+
+
+class TestOversizedResults:
+    """Values past the digit limit, and spaces past the size cap, end in one record."""
+
+    @pytest.mark.parametrize(
+        "doc, code",
+        [
+            (_power_doc(300000), 3),
+            (_power_doc(10**9), 3),
+            (
+                _four_point_doc(
+                    [
+                        Fraction(1, _D1),
+                        Fraction(1, _D2),
+                        Fraction(1, 2) - Fraction(1, _D1),
+                        Fraction(1, 2) - Fraction(1, _D2),
+                    ]
+                ),
+                3,
+            ),
+            (
+                _four_point_doc(
+                    [Fraction(1, _D1), Fraction(1, _D2), Fraction(1, 2), Fraction(1, 2)]
+                ),
+                2,
+            ),
+            ({"n": 40, "e_labels": ["x0"], "mass": {}}, 3),
+            ({"n": 16, "e_labels": ["a", "b"], "mass": {}}, 3),
+        ],
+        ids=["power-300000", "power-1e9", "sum-5000-digits", "unbalanced", "n40", "over-cap"],
+    )
+    def test_exit_code_and_one_record(self, tmp_path, doc, code):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "intprob", "interval", str(path), "H"],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            timeout=30,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        record = error_record(proc.stderr)
+        assert record["kind"] == ("constraint" if code == 2 else "precondition")
         assert len(record["message"]) < 300
 
 

@@ -10,8 +10,28 @@ from hypothesis import strategies as st
 
 import intprob as ip
 from intprob.errors import ConstraintError, PreconditionError
+from intprob.measure import clipped
 
 from conftest import events, measured_spaces
+
+
+class TestClipped:
+    def test_short_values_verbatim_long_text_cut(self):
+        assert clipped(Fraction(1, 3)) == "1/3"
+        assert clipped("7" * 50) == "7" * 40 + "..."
+
+    def test_huge_rational_shown_by_size(self):
+        text = clipped(Fraction(1, 10**5000 + 1))
+        assert len(text) <= 50
+        assert "5000" in text
+
+    def test_unbalanced_masses_message_stays_short(self):
+        space = ip.build_space(1, ["a"])
+        d = 10**2500 + 1
+        with pytest.raises(ConstraintError) as info:
+            ip.ProbabilityMeasure(space, (Fraction(1, d), Fraction(1, d + 2)))
+        assert len(str(info.value)) < 100
+        assert len(info.value.witness) <= 50
 
 
 class TestRationalCoercion:

@@ -9,6 +9,7 @@ module long before the acceptance gate runs.
 from __future__ import annotations
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import intprob as ip
 from intprob import oracle
 from intprob.errors import PreconditionError
 
-from conftest import CONCAVE_BEND, REGISTRY, standard_capacities
+from conftest import CONCAVE_BEND, REGISTRY, random_degree, standard_capacities
 
 
 def _by_name(name):
@@ -54,6 +55,14 @@ class TestStructureAgreement:
             for z in space.z_classes
         ]
         assert kernel == oracle.oracle_z_classes(space)
+
+    @pytest.mark.parametrize("labels", [["x0"], ["a", "b"], ["p", "q", "s"]])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_z_classes_every_shape(self, monkeypatch, n, labels):
+        """Past the fixtures; the oracle's size guard is lifted for this cheap listing."""
+        space = ip.build_space(n, labels)
+        monkeypatch.setattr(oracle, "ORACLE_LIMIT", space.omega_size)
+        assert [list(z) for z in space.z_classes] == oracle.oracle_z_classes(space)
 
     def test_indecisive_and_weak_complement(self, fixture):
         space = fixture.space
@@ -151,6 +160,36 @@ class TestConditioningAgreement:
                 assert (q.lo, q.hi) == oracle.oracle_conditional_interval(
                     fx.mass, fx.degree, a, h
                 )
+
+    @pytest.mark.parametrize("name", ["n3", "labeled_n2", "wide12"])
+    def test_conditional_interval_random_events(self, name):
+        """Seeded events on 8- and 12-point spaces, graded r, both null modes.
+
+        Zero masses let ``P(H)`` vanish while ``H_ind`` carries graded mass.
+        """
+        space = _by_name(name).space
+        rng = random.Random(name)
+        degree = random_degree(rng, space)
+        weights = [rng.choice((0, 0, 1, 2, 3)) for _ in range(space.omega_size)]
+        weights[0] += 1
+        p = ip.ProbabilityMeasure(space, [Fraction(w, sum(weights)) for w in weights])
+        null_but_graded = 0
+        for _ in range(300):
+            a = ip.Event(space, rng.getrandbits(space.omega_size))
+            h_mask = rng.getrandbits(space.omega_size) & rng.getrandbits(space.omega_size)
+            h = ip.Event(space, h_mask)
+            p_h, denom = oracle.oracle_interval(p, degree, h)
+            null_but_graded += p_h == 0 < denom
+            for allow, needed in ((False, p_h), (True, denom)):
+                if needed == 0:
+                    with pytest.raises(PreconditionError):
+                        ip.conditional_interval(
+                            p, degree, a, h, allow_null_conditioning=allow
+                        )
+                    continue
+                q = ip.conditional_interval(p, degree, a, h, allow_null_conditioning=allow)
+                assert (q.lo, q.hi) == oracle.oracle_conditional_interval(p, degree, a, h)
+        assert null_but_graded
 
     def test_ds_variants(self):
         fx = _by_name("umbrella")

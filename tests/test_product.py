@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 import intprob as ip
 from intprob.errors import PreconditionError
 from intprob.product import flat_measure
+
+from conftest import random_measure
 
 
 def _factors():
@@ -93,6 +96,44 @@ class TestProductSpace:
         ps, _, _ = _factors()
         with pytest.raises(PreconditionError):
             ps.coarse_indecisive(ip.build_space(1, ["z"]).universe)
+
+
+def _class_number(bits: str) -> int:
+    """The pattern of ``bits``' complementary pair that starts with 0, read as a number."""
+    if bits[0] == "1":
+        bits = bits.translate(str.maketrans("01", "10"))
+    return int(bits, 2)
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("labels", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("n_left", [1, 2, 3])
+    @pytest.mark.parametrize("n_right", [1, 2, 3])
+    def test_matches_definition(self, n_left, n_right, labels):
+        """``w_classes`` and ``flat_measure`` rebuilt from the flat names.
+
+        Each flat name ``"l*r,bits"`` splits into its two factor names;
+        the coarse classes group by the pair of factor classes, row-major.
+        """
+        left = ip.build_space(n_left, [f"l{i}" for i in range(labels[0])])
+        right = ip.build_space(n_right, [f"r{i}" for i in range(labels[1])])
+        ps = ip.ProductSpace(left, right)  # up to 256 points, past product_space's guard
+        rng = random.Random(f"{n_left}/{n_right}/{labels}")
+        p_left, p_right = random_measure(rng, left), random_measure(rng, right)
+        groups: dict[tuple[int, int], int] = {}
+        masses = []
+        for i, name in enumerate(ps.flat.eventualities()):
+            label, bits = name.split(",")
+            l_label, r_label = label.split("*")
+            l_bits, r_bits = bits[:n_left], bits[n_left:]
+            masses.append(
+                p_left.values[left.parse_eventuality(f"{l_label},{l_bits}")]
+                * p_right.values[right.parse_eventuality(f"{r_label},{r_bits}")]
+            )
+            key = (_class_number(l_bits), _class_number(r_bits))
+            groups[key] = groups.get(key, 0) | 1 << i
+        assert [w.mask for w in ps.w_classes] == [groups[key] for key in sorted(groups)]
+        assert flat_measure(ps, p_left, p_right).values == tuple(masses)
 
 
 class TestFlatMeasure:

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import intprob as ip
 from intprob.errors import ConstraintError, PreconditionError
-from intprob.space import disjoint_pairs, lattice_edges
+from intprob.space import check_digits, disjoint_pairs, lattice_edges
 
 from conftest import events, spaces
 
@@ -38,11 +38,30 @@ class TestBuildSpace:
         with pytest.raises(ConstraintError):
             ip.build_space(2, ["a", ""])
 
+    def test_size_cap(self):
+        """At most 2^16 eventualities; n is judged before 2^n is built."""
+        assert ip.build_space(16, ["x0"]).omega_size == 1 << 16
+        for n, labels in ((17, ["x0"]), (16, ["a", "b"]), (40, ["x0"]), (10**6, ["x0"])):
+            with pytest.raises(PreconditionError):
+                ip.build_space(n, labels)
+
     def test_sizes(self):
         space = ip.build_space(3, ["a", "b"])
         assert space.omega_size == 16
         assert space.full_mask == (1 << 16) - 1
         assert len(space.z_classes) == 4
+
+
+class TestDigitLimit:
+    def test_parts_up_to_4300_digits_pass(self):
+        check_digits("result", Fraction(10**4300 - 1, 10**4300 - 2))
+
+    @pytest.mark.parametrize(
+        "x", [Fraction(10**4300), Fraction(-(10**4300)), Fraction(1, 10**4300)]
+    )
+    def test_longer_parts_refused(self, x):
+        with pytest.raises(PreconditionError):
+            check_digits("result", x)
 
 
 class TestIndexing:
