@@ -34,6 +34,7 @@ from .measure import (
     RandomVariable,
     RationalLike,
     UncertaintyDegree,
+    _sublevels,
     as_rational,
     clipped,
 )
@@ -48,7 +49,6 @@ from .space import (
     check_space,
     disjoint_pairs,
     indecisive_set,
-    iter_bits,
     lattice_edges,
 )
 
@@ -268,20 +268,19 @@ def _grid_integral(
     """Exact ``∫_0^1 nu(transform({i in support : values[i] >= t})) dt``.
 
     The integrand is a step function of ``t``: it changes only at the
-    distinct positive values attained on the support.  The integral is
-    the sum of stratum widths times the capacity on each stratum, plus
-    the top stratum ``(1 - t_max) * nu(transform({}))``.
+    distinct positive values attained on the support, where ``{values >= t}``
+    is the support minus the sublevel set of the value below ``t``.  The
+    integral is the sum of stratum widths times the capacity on each
+    stratum, plus the top stratum ``(1 - t_max) * nu(transform({}))``.
     """
-    levels = sorted({values[i] for i in iter_bits(support_mask) if values[i] > 0})
     total = ZERO
     prev = ZERO
-    for t in levels:
-        mask_ge = 0
-        for i in iter_bits(support_mask):
-            if values[i] >= t:
-                mask_ge |= 1 << i
-        total += (t - prev) * nu.table[transform(mask_ge)]
+    below = 0
+    for t, upto in _sublevels(values, support_mask):
+        # Values lie in [0, 1], so a level at 0 adds a stratum of width 0.
+        total += (t - prev) * nu.table[transform(support_mask & ~below)]
         prev = t
+        below = upto
     total += (ONE - prev) * nu.table[transform(0)]
     return total
 
@@ -360,13 +359,13 @@ class AdditivityProfile:
     subadditive_witness: tuple[Event, Event] | None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # bounded: each entry pins a whole capacity table
 def is_superadditive(nu: Capacity) -> AdditivityProfile:
     """Classify a capacity by sweeping all disjoint pairs of events.
 
     The sweep touches 3^|Omega| pairs and is limited to universes of at
     most ``PAIR_LIMIT`` eventualities.  Results are cached per capacity
-    object.
+    object, for the 16 most recently used capacities.
     """
     size = nu.space.omega_size
     check_size("additivity sweep", size, PAIR_LIMIT)

@@ -103,16 +103,8 @@ def ds_conditional(nu: Capacity, a: Event, h: Event) -> Fraction:
     ordinary Bayes ratio ``P(A ∩ H) / P(H)``; for non-additive
     capacities it genuinely differs from Bayesian updating.
     """
-    space = nu.space
-    check_space(space, a, h)
-    hc = space.full_mask & ~h.mask
-    base = nu.table[hc]
-    if base == 1:
-        raise PreconditionError(
-            "Dempster-Shafer conditioning undefined: complement has capacity 1",
-            witness=h,
-        )
-    return (nu.table[(a.mask & h.mask) | hc] - base) / (ONE - base)
+    refusal = "Dempster-Shafer conditioning undefined: complement has capacity 1"
+    return _ds_update(nu, a, h, h.complement().mask, refusal)  # (A∩H) ∪ H^c = A ∪ H^c
 
 
 def ds_conditional_weak(nu: Capacity, a: Event, h: Event) -> Fraction:
@@ -123,17 +115,17 @@ def ds_conditional_weak(nu: Capacity, a: Event, h: Event) -> Fraction:
     measure ``P`` this equals the left endpoint of
     ``conditional_interval(P, 1, A, H)``.
     """
-    space = nu.space
-    check_space(space, a, h)
-    wc = weak_complement(space, h).mask
-    base = nu.table[wc]
+    refusal = "weak Dempster-Shafer conditioning undefined: weak complement has capacity 1"
+    return _ds_update(nu, a, h, weak_complement(nu.space, h).mask, refusal)
+
+
+def _ds_update(nu: Capacity, a: Event, h: Event, c: int, refusal: str) -> Fraction:
+    """``(nu(A ∪ C) - nu(C)) / (1 - nu(C))`` for the complement mask ``c`` of ``h``."""
+    check_space(nu.space, a, h)
+    base = nu.table[c]
     if base == 1:
-        raise PreconditionError(
-            "weak Dempster-Shafer conditioning undefined: "
-            "weak complement has capacity 1",
-            witness=h,
-        )
-    return (nu.table[a.mask | wc] - base) / (ONE - base)
+        raise PreconditionError(refusal, witness=h)
+    return (nu.table[a.mask | c] - base) / (ONE - base)
 
 
 def effective_weight(
@@ -185,14 +177,16 @@ class ConditionalOutcome:
     tentative: bool = True
 
 
-def _conditional_flags(
+def _graded_core(
     nu: Capacity, r: UncertaintyDegree, a: Event, h: Event
-) -> bool | None:
+) -> tuple[bool | None, Fraction, Fraction]:
+    """The super-additivity flag, ``I(Omega)`` and ``I(A)`` shared by both graded rules."""
     check_space(nu.space, r, a, h)
     if nu.table[h.mask] == 0:
         raise PreconditionError(
             "graded conditioning requires nu(H) > 0", witness=h
         )
+    flag = None
     if nu.space.omega_size <= PAIR_LIMIT:
         profile = is_superadditive(nu)
         if not profile.superadditive:
@@ -203,8 +197,9 @@ def _conditional_flags(
                 "containment guarantees do not apply (witness pair %r)",
                 profile.superadditive_witness,
             )
-        return profile.superadditive
-    return None
+        flag = profile.superadditive
+    total = effective_weight(nu, r, h, nu.space.universe)
+    return flag, total, effective_weight(nu, r, h, a)
 
 
 def capacity_conditional(
@@ -220,12 +215,9 @@ def capacity_conditional(
     the super-additive case.  The raw right endpoint can exceed 1; it
     is clamped and the clamp recorded on the outcome.
     """
-    super_flag = _conditional_flags(nu, r, a, h)
-    space = nu.space
-    total = effective_weight(nu, r, h, space.universe)
-    weight_a = effective_weight(nu, r, h, a)
+    super_flag, total, weight_a = _graded_core(nu, r, a, h)
     lo = weight_a / total
-    a_ind = indecisive_set(space, a)
+    a_ind = indecisive_set(nu.space, a)
     raw_hi = (weight_a + uncertainty_weight(nu, r, h, a_ind)) / total
     clamped = raw_hi > 1
     if clamped:
@@ -251,11 +243,9 @@ def capacity_conditional_prime(
     complement of ``A`` (that is, ``A ∪ A_ind``), so it never exceeds
     ``I(Omega)`` and the outcome is never clamped.
     """
-    super_flag = _conditional_flags(nu, r, a, h)
-    space = nu.space
-    total = effective_weight(nu, r, h, space.universe)
-    lo = effective_weight(nu, r, h, a) / total
-    widened = Event(space, a.mask | indecisive_set(space, a).mask)
+    super_flag, total, weight_a = _graded_core(nu, r, a, h)
+    lo = weight_a / total
+    widened = Event(nu.space, a.mask | indecisive_set(nu.space, a).mask)
     hi = effective_weight(nu, r, h, widened) / total
     return ConditionalOutcome(
         interval=Interval(lo, hi),

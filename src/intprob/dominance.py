@@ -30,7 +30,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .capacity import Capacity, capacity_interval, capacity_interval_prime
 from .errors import ConstraintError
@@ -42,6 +42,7 @@ from .measure import (
     RandomVariable,
     RationalLike,
     UncertaintyDegree,
+    _sublevels,
     as_rational,
     interval_measure,
 )
@@ -121,10 +122,9 @@ class IntervalCDF:
 def _build_cdf(
     x: RandomVariable, event_interval: Callable[[Event], Interval]
 ) -> IntervalCDF:
-    breakpoints = x.attained()
-    segments = [event_interval(Event(x.space, 0))]
-    segments.extend(event_interval(x.sublevel(t)) for t in breakpoints)
-    return IntervalCDF(breakpoints, tuple(segments))
+    levels = dict(_sublevels(x.values, x.space.full_mask))
+    segments = [event_interval(Event(x.space, mask)) for mask in (0, *levels.values())]
+    return IntervalCDF(tuple(levels), tuple(segments))
 
 
 def interval_cdf(
@@ -243,7 +243,6 @@ def stratified_cdf_closed_form(
     point = as_rational(t)
     ones = UncertaintyDegree.ones(space)
     direct = interval_measure(p, ones, y.sublevel(point))
-    closed_lo = p(y.sublevel(point))
 
     i_star = next((j for j, tj in enumerate(thresholds) if point < tj), None)
     if i_star is None:
@@ -253,7 +252,7 @@ def stratified_cdf_closed_form(
         (lower_star is None or v > lower_star) and v < point for v in y.values
     )
     closed_hi = ONE - p(classes[i_star]) if delta else ONE
-    return ClosedFormComparison(point, closed_lo, closed_hi, direct)
+    return ClosedFormComparison(point, direct.lo, closed_hi, direct)
 
 
 @dataclass(frozen=True)
@@ -270,22 +269,9 @@ class DominanceVerdict:
     failed_inequality: str | None = None
 
 
-def _merged_grid(x: RandomVariable, y: RandomVariable) -> list[Fraction]:
-    values = sorted(set(x.values) | set(y.values))
+def _merged_grid(cdf_x: IntervalCDF, cdf_y: IntervalCDF) -> list[Fraction]:
+    values = sorted({*cdf_x.breakpoints, *cdf_y.breakpoints})
     return [values[0] - 1, *values]
-
-
-def _dominates_on_grid(
-    cdf_x: IntervalCDF, cdf_y: IntervalCDF, grid: Iterable[Fraction]
-) -> DominanceVerdict:
-    for t in grid:
-        f = cdf_x.at(t)
-        g = cdf_y.at(t)
-        if f.lo > g.lo:
-            return DominanceVerdict(False, t, "left-endpoint")
-        if g.width > f.width:
-            return DominanceVerdict(False, t, "width")
-    return DominanceVerdict(True)
 
 
 def dominates(
@@ -305,9 +291,16 @@ def dominates(
     one point below the minimum) is exhaustive.
     """
     check_space(x.space, p, r, y)
-    return _dominates_on_grid(
-        interval_cdf(p, r, x), interval_cdf(p, r, y), _merged_grid(x, y)
-    )
+    cdf_x = interval_cdf(p, r, x)
+    cdf_y = interval_cdf(p, r, y)
+    for t in _merged_grid(cdf_x, cdf_y):
+        f = cdf_x.at(t)
+        g = cdf_y.at(t)
+        if f.lo > g.lo:
+            return DominanceVerdict(False, t, "left-endpoint")
+        if g.width > f.width:
+            return DominanceVerdict(False, t, "width")
+    return DominanceVerdict(True)
 
 
 @dataclass(frozen=True)
@@ -351,7 +344,7 @@ def find_width_caveat(
                 continue
             cdf_x = capacity_interval_cdf(nu, degree, x, prime=prime)
             cdf_y = capacity_interval_cdf(nu, degree, y, prime=prime)
-            for t in _merged_grid(x, y):
+            for t in _merged_grid(cdf_x, cdf_y):
                 wf = cdf_x.at(t).width
                 wg = cdf_y.at(t).width
                 if wg > wf:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import ConstraintError
 from .space import (
@@ -140,7 +140,7 @@ class Interval:
         object.__setattr__(self, "hi", hi)
         if not (ZERO <= lo <= hi <= ONE):
             raise ConstraintError(
-                f"invalid interval [{lo}, {hi}]: need 0 <= lo <= hi <= 1",
+                f"invalid interval [{clipped(lo)}, {clipped(hi)}]: need 0 <= lo <= hi <= 1",
                 witness=(lo, hi),
             )
 
@@ -153,10 +153,10 @@ class Interval:
         return self.lo <= other.lo and other.hi <= self.hi
 
     def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
+        return f"[{clipped(self.lo)}, {clipped(self.hi)}]"
 
     def __repr__(self) -> str:
-        return f"Interval({self.lo}, {self.hi})"
+        return f"Interval({clipped(self.lo)}, {clipped(self.hi)})"
 
 
 def _coerce_values(
@@ -187,6 +187,18 @@ def _masked_sum(mask: int, *columns: Sequence[Fraction]) -> Fraction:
     for column in columns[1:]:
         terms = map(mul, terms, map(column.__getitem__, points))
     return sum(terms, ZERO)
+
+
+def _sublevels(values: Sequence[Fraction], mask: int) -> Iterator[tuple[Fraction, int]]:
+    """Each value ``t`` taken on ``mask``, ascending, with ``{i in mask : values[i] <= t}``."""
+    groups: dict[Fraction, list[int]] = {}  # one pass; only distinct values are sorted
+    for i in iter_bits(mask):
+        groups.setdefault(values[i], []).append(i)
+    below = 0
+    for t in sorted(groups):
+        for i in groups[t]:
+            below |= 1 << i
+        yield t, below
 
 
 @dataclass(frozen=True)
@@ -266,11 +278,8 @@ class RandomVariable:
     def sublevel(self, t: RationalLike) -> Event:
         """The event {self <= t}."""
         bound = as_rational(t)
-        mask = 0
-        for i, v in enumerate(self.values):
-            if v <= bound:
-                mask |= 1 << i
-        return Event(self.space, mask)
+        nested = [m for v, m in _sublevels(self.values, self.space.full_mask) if v <= bound]
+        return Event(self.space, nested[-1] if nested else 0)
 
     def attained(self) -> tuple[Fraction, ...]:
         """Distinct attained values, ascending."""

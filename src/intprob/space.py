@@ -51,6 +51,14 @@ TOO_LONG = 10**DIGIT_LIMIT  # the least integer with more than DIGIT_LIMIT digit
 
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in ascending order."""
+    if mask.bit_length() > 256:
+        # Each peel below copies the whole mask; past ~256 bits a text scan is cheaper.
+        text = bin(mask)[:1:-1]
+        i = text.find("1")
+        while i >= 0:
+            yield i
+            i = text.find("1", i + 1)
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -364,3 +364,19 @@ class TestAdditivityProfile:
     def test_cached_per_object(self, small_fixture):
         nu = standard_capacities(small_fixture)["belief"]
         assert ip.is_superadditive(nu) is ip.is_superadditive(nu)
+
+    def test_cache_is_bounded_and_shared_by_graded_rules(self):
+        space, p = _uniform2()
+        info = ip.is_superadditive.cache_info
+        for _ in range(200):
+            ip.is_superadditive(ip.distort(p, ip.power_distortion(2)))
+        assert info().maxsize is not None
+        assert info().currsize <= info().maxsize < 200
+        nu = ip.distort(p, ip.power_distortion(2))
+        r = ip.UncertaintyDegree.ones(space)
+        a, h = space.event(["x0,00"]), space.event(["x0,10"])
+        ip.capacity_conditional(nu, r, a, h)
+        before = info()
+        ip.capacity_conditional_prime(nu, r, a, h)
+        after = info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)

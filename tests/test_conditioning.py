@@ -184,10 +184,19 @@ class TestDempsterShafer:
         # All mass on the weak complement {x0,01} saturates both
         # denominators: H^c ⊇ H_w^c ∋ the focal point.
         nu = ip.belief_from_mass(space, {space.event(["x0,01"]): "1"})
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as info:
             ip.ds_conditional(nu, space.universe, h)
-        with pytest.raises(PreconditionError):
+        assert str(info.value) == (
+            "Dempster-Shafer conditioning undefined: complement has capacity 1"
+        )
+        assert info.value.witness == h
+        with pytest.raises(PreconditionError) as info:
             ip.ds_conditional_weak(nu, space.universe, h)
+        assert str(info.value) == (
+            "weak Dempster-Shafer conditioning undefined: "
+            "weak complement has capacity 1"
+        )
+        assert info.value.witness == h
 
     def test_weak_variant_defined_on_empty_conditioner(self):
         """H = ∅ has an empty weak complement, so the weak rule collapses

@@ -45,6 +45,16 @@ class TestIntervalCDF:
         with pytest.raises(ConstraintError):
             ip.IntervalCDF((F(1),), (unit, ip.Interval(F(1, 2), F(1))))
 
+    def test_terminal_message_with_huge_endpoint(self):
+        zero = ip.Interval(Fraction(0), Fraction(0))
+        tiny = ip.Interval(Fraction(1, 10**5000), Fraction(1))
+        with pytest.raises(ConstraintError) as info:
+            ip.IntervalCDF((Fraction(1),), (zero, tiny))
+        assert str(info.value) == (
+            "terminal segment must be [1, 1], "
+            "got [<rational with a part of ~5000 digits>, 1]"
+        )
+
     def test_at_and_regions(self):
         space, p, ones, x, _ = _example_fixture()
         cdf = ip.interval_cdf(p, ones, x)

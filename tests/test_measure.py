@@ -86,6 +86,15 @@ class TestInterval:
         assert outer.encloses(inner)
         assert not inner.encloses(outer)
         assert str(inner) == "[1/4, 3/4]"
+        assert repr(inner) == "Interval(1/4, 3/4)"
+
+    def test_text_of_huge_endpoints_never_raises(self):
+        tiny = ip.Interval(Fraction(1, 10**5000), Fraction(1))
+        assert repr(tiny) == "Interval(<rational with a part of ~5000 digits>, 1)"
+        assert str(tiny) == "[<rational with a part of ~5000 digits>, 1]"
+        with pytest.raises(ConstraintError) as info:
+            ip.Interval(Fraction(10**5000), Fraction(1))
+        assert len(str(info.value)) < 200
 
 
 class TestProbabilityMeasure:

@@ -238,3 +238,21 @@ class TestFiles:
         assert sorted(sc.capacities) == ["belief", "bend", "square", "table"]
         assert sc.capacities["table"].is_additive()
         assert sc.capacities["square"](sc.events["H"]) == Fraction(1, 16)
+
+    def test_readme_quick_tour_runs_and_its_reprs_hold(self):
+        import re
+        from pathlib import Path
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        tour = readme.split("## Library quick tour")[1].split("```python\n")[1].split("```")[0]
+        namespace: dict = {}
+        reprs = 0
+        for line in tour.splitlines():
+            code, _, comment = re.match(r"(.*?)(\s+# (.*))?$", line).groups()
+            # A comment that opens like a literal or a constructor call is a repr.
+            if comment and re.match(r"[(\[']|[A-Za-z_]\w*\(", comment):
+                assert repr(eval(code, namespace)) == comment, line
+                reprs += 1
+            else:
+                exec(code, namespace)
+        assert reprs == 3

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import intprob as ip
 from intprob.errors import ConstraintError, PreconditionError
-from intprob.space import check_digits, disjoint_pairs, lattice_edges
+from intprob.space import check_digits, disjoint_pairs, iter_bits, lattice_edges
 
 from conftest import events, spaces
 
@@ -246,6 +246,23 @@ class TestIndecisiveAndWeakComplement:
         h = data.draw(events(space))
         k = h | data.draw(events(space))
         assert ip.indecisive_set(space, k) <= ip.indecisive_set(space, h)
+
+
+class TestIterBits:
+    """Small masks are peeled bit by bit and wide ones scanned as text; both agree."""
+
+    @pytest.mark.parametrize("width", [1, 16, 64, 65, 256, 257, 8192])
+    def test_matches_reference_in_order(self, width):
+        import random
+
+        rng = random.Random(f"iter_bits:{width}")
+        full = (1 << width) - 1
+        masks = [0, full, 1 << (width - 1)]
+        masks += [rng.getrandbits(width) for _ in range(5)]
+        masks += [rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)]
+        for mask in masks:
+            expected = [i for i in range(width) if mask >> i & 1]
+            assert list(iter_bits(mask)) == expected
 
 
 class TestSweepWalks:
