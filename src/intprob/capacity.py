@@ -36,6 +36,10 @@ from .measure import (
     UncertaintyDegree,
     _sublevels,
     as_rational,
+    check_ends,
+    check_mass,
+    check_order,
+    check_unit,
     clipped,
 )
 from .space import (
@@ -118,12 +122,7 @@ def capacity_from_table(space: Space, table: Sequence[RationalLike]) -> Capacity
         raise ConstraintError(
             f"capacity table must have {n_events} entries, got {len(values)}"
         )
-    if values[0] != 0:
-        raise ConstraintError(f"capacity of the empty set must be 0, got {values[0]}")
-    if values[n_events - 1] != 1:
-        raise ConstraintError(
-            f"capacity of the universe must be 1, got {values[n_events - 1]}"
-        )
+    check_ends("capacity on {} and Omega", values[0], values[-1])
     for mask, ext in lattice_edges(space.omega_size):
         if values[ext] < values[mask]:
             raise ConstraintError(
@@ -143,27 +142,26 @@ def belief_from_mass(
     and super-additive by construction.
     """
     check_size("belief_from_mass", space.omega_size, TABLE_LIMIT)
-    focal: list[tuple[int, Fraction]] = []
-    total = ZERO
+    focal: dict[int, Fraction] = {}
     for event, raw in m.items():
         if not isinstance(event, Event) or event.space != space:
             raise ConstraintError("mass assignment keys must be events of the space")
-        w = as_rational(raw)
-        if w < 0:
-            raise ConstraintError(f"negative mass {w}", witness=(event, w))
-        if event.mask == 0 and w != 0:
-            raise ConstraintError("the empty event cannot carry mass", witness=w)
-        total += w
-        if w > 0:
-            focal.append((event.mask, w))
-    if total != 1:
-        raise ConstraintError(f"masses must sum to exactly 1, got {clipped(total)}")
-    n_events = 1 << space.omega_size
-    table = tuple(
-        sum((w for b, w in focal if b & ~mask == 0), ZERO)
-        for mask in range(n_events)
-    )
-    return Capacity(space, table)
+        focal[event.mask] = as_rational(raw)
+    check_mass(list(focal.values()))
+    if focal.get(0):
+        raise ConstraintError("the empty event cannot carry mass", witness=clipped(focal[0]))
+    table = [ZERO] * (1 << space.omega_size)
+    for mask, w in focal.items():
+        table[mask] = w
+    # Zeta transform: once bits 0..b are done, table[A] sums the masses of
+    # the subsets of A that agree with A on every higher bit.
+    for b in range(space.omega_size):
+        step = 1 << b
+        for block in range(step, len(table), 2 * step):  # the masks with bit b set
+            for mask in range(block, block + step):
+                if table[mask ^ step]:
+                    table[mask] += table[mask ^ step]
+    return Capacity(space, tuple(table))
 
 
 def power_distortion(exponent: int) -> Callable[[Fraction], Fraction]:
@@ -202,19 +200,11 @@ class PiecewiseLinear:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2 or pts[0][0] != 0 or pts[-1][0] != 1:
             raise ConstraintError("breakpoints must run from x=0 to x=1")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-            if x1 <= x0:
-                raise ConstraintError(
-                    "breakpoint x-values must strictly increase", witness=(x0, x1)
-                )
-            if y1 < y0:
-                raise ConstraintError(
-                    "breakpoint y-values must not decrease", witness=(y0, y1)
-                )
+        check_order("breakpoint x-values", [x for x, _ in pts], strict=True)
+        check_order("breakpoint y-values", [y for _, y in pts])
 
     def __call__(self, t: Fraction) -> Fraction:
-        if not (ZERO <= t <= ONE):
-            raise ConstraintError(f"argument {t} outside [0, 1]", witness=t)
+        check_unit("argument", (t,))
         for (x0, y0), (x1, y1) in zip(self.points, self.points[1:]):
             if t <= x1:
                 return y0 + (y1 - y0) * (t - x0) / (x1 - x0)
@@ -244,11 +234,7 @@ def distort(
 
     attained = sorted({ZERO, ONE, *probs})
     images = {t: apply(t) for t in attained}
-    if images[ZERO] != 0 or images[ONE] != 1:
-        raise ConstraintError(
-            f"distortion must map 0 to 0 and 1 to 1, got g(0)={clipped(images[ZERO])}, "
-            f"g(1)={clipped(images[ONE])}"
-        )
+    check_ends("distortion g(0) and g(1)", images[ZERO], images[ONE])
     for t0, t1 in zip(attained, attained[1:]):
         if images[t1] < images[t0]:
             raise ConstraintError(
@@ -293,9 +279,7 @@ def choquet(nu: Capacity, g: RandomVariable) -> Fraction:
     the capacity of the indicated event.
     """
     check_space(nu.space, g)
-    for v in g.values:
-        if not (ZERO <= v <= ONE):
-            raise ConstraintError(f"integrand value {v} outside [0, 1]", witness=v)
+    check_unit("integrand value", g.values)
     return _grid_integral(nu, g.values, nu.space.full_mask, lambda s: s)
 
 

@@ -175,9 +175,9 @@ def _cmd_product(args: argparse.Namespace) -> int:
     ps = product_space(left.space, right.space)
     try:
         names = json.loads(args.event)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, or nested past the stack
         raise ConstraintError(f"event must be a JSON array of strings: {exc}") from exc
-    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+    if not isinstance(names, list):
         raise ConstraintError("event must be a JSON array of eventuality strings")
     h = ps.flat.event(names)
     flat = ps.flat
@@ -301,12 +301,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _bounded(text: str) -> str:
+    """``text`` cut to under 300 characters, for a field of an error record."""
+    return text if len(text) < 300 else text[:296] + "..."
+
+
 def _emit_error(kind: str, exc: IntprobError) -> None:
     record = {
         "error": {
             "kind": kind,
-            "message": str(exc),
-            "witness": None if exc.witness is None else repr(exc.witness),
+            "message": _bounded(str(exc)),
+            "witness": None if exc.witness is None else _bounded(repr(exc.witness)),
         }
     }
     print(json.dumps(record, sort_keys=True), file=sys.stderr)

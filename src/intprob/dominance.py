@@ -44,6 +44,8 @@ from .measure import (
     UncertaintyDegree,
     _sublevels,
     as_rational,
+    check_order,
+    clipped,
     interval_measure,
 )
 from .space import Event, check_space
@@ -87,17 +89,8 @@ class IntervalCDF:
             )
         if not self.breakpoints:
             raise ConstraintError("a distribution needs at least one breakpoint")
-        for t0, t1 in zip(self.breakpoints, self.breakpoints[1:]):
-            if t1 <= t0:
-                raise ConstraintError(
-                    "breakpoints must strictly increase", witness=(t0, t1)
-                )
-        for s0, s1 in zip(self.segments, self.segments[1:]):
-            if s1.lo < s0.lo:
-                raise ConstraintError(
-                    "distribution left endpoints must not decrease",
-                    witness=(s0, s1),
-                )
+        check_order("breakpoints", self.breakpoints, strict=True)
+        check_order("distribution left endpoints", [s.lo for s in self.segments])
         if self.segments[-1] != Interval(ONE, ONE):
             raise ConstraintError(
                 f"terminal segment must be [1, 1], got {self.segments[-1]}"
@@ -223,11 +216,7 @@ def stratified_cdf_closed_form(
             f"need one threshold per incompatibility class "
             f"({len(classes)}), got {len(thresholds)}"
         )
-    for t0, t1 in zip(thresholds, thresholds[1:]):
-        if t1 < t0:
-            raise ConstraintError(
-                "thresholds must be nondecreasing", witness=(t0, t1)
-            )
+    check_order("thresholds", thresholds)
     lower_bound = None if floor is None else as_rational(floor)
     for j, z in enumerate(classes):
         lower = thresholds[j - 1] if j else lower_bound
@@ -235,9 +224,9 @@ def stratified_cdf_closed_form(
             v = y.values[i]
             if v > thresholds[j] or (lower is not None and v <= lower):
                 raise ConstraintError(
-                    f"value {v} of class {j + 1} outside its stratum "
-                    f"({'-inf' if lower is None else lower}, {thresholds[j]}]",
-                    witness=(space.eventuality_name(i), v),
+                    f"value {clipped(v)} of class {j + 1} outside its stratum "
+                    f"({'-inf' if lower is None else clipped(lower)}, {clipped(thresholds[j])}]",
+                    witness=(space.eventuality_name(i), clipped(v)),
                 )
 
     point = as_rational(t)

@@ -91,6 +91,45 @@ def clipped(value) -> str:
     return text[:40] + "..." if len(text) > 40 else text
 
 
+def check_mass(masses: Sequence[Fraction]) -> None:
+    """Refuse a mass assignment with a negative mass or a total other than 1."""
+    for m in masses:
+        if m < 0:
+            raise ConstraintError(f"negative mass {clipped(m)}", witness=clipped(m))
+    total = sum(masses)
+    if total != 1:
+        raise ConstraintError(
+            f"masses must sum to exactly 1, got {clipped(total)}",
+            witness=clipped(total),
+        )
+
+
+def check_unit(what: str, values: Iterable[Fraction]) -> None:
+    """Refuse any of ``values`` outside [0, 1]; ``what`` names one value."""
+    for v in values:
+        if not (ZERO <= v <= ONE):
+            raise ConstraintError(f"{what} {clipped(v)} outside [0, 1]", witness=clipped(v))
+
+
+def check_order(what: str, values: Sequence[Fraction], *, strict: bool = False) -> None:
+    """Refuse an adjacent pair of ``values`` that decreases, or with ``strict`` repeats."""
+    for a, b in zip(values, values[1:]):
+        if b < a or (strict and b == a):
+            raise ConstraintError(
+                f"{what} must {'strictly increase' if strict else 'not decrease'}",
+                witness=(clipped(a), clipped(b)),
+            )
+
+
+def check_ends(what: str, first: Fraction, last: Fraction) -> None:
+    """Refuse a map whose value ``first`` at its bottom is not 0 or ``last`` at its top not 1."""
+    if first != 0 or last != 1:
+        raise ConstraintError(
+            f"{what} must be 0 and 1, got {clipped(first)} and {clipped(last)}",
+            witness=(clipped(first), clipped(last)),
+        )
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ``value`` (Fraction, int, or a string like ``"3/4"``) exactly.
 
@@ -122,7 +161,7 @@ def as_rational(value: RationalLike) -> Fraction:
                 f"cannot parse rational {text!r}", witness=text
             ) from exc
     raise ConstraintError(
-        f"not an exact rational: {value!r} (floats are rejected)", witness=value
+        f"not an exact rational: {clipped(value)} (floats are rejected)", witness=value
     )
 
 
@@ -159,15 +198,15 @@ class Interval:
         return f"Interval({clipped(self.lo)}, {clipped(self.hi)})"
 
 
-def _coerce_values(
-    space: Space, values: Iterable[RationalLike], what: str
-) -> tuple[Fraction, ...]:
-    out = tuple(as_rational(v) for v in values)
-    if len(out) != space.omega_size:
+def _set_values(obj, what: str) -> tuple[Fraction, ...]:
+    """Store ``obj.values`` as one exact rational per eventuality, and return them."""
+    out = tuple(as_rational(v) for v in obj.values)
+    if len(out) != obj.space.omega_size:
         raise ConstraintError(
             f"{what} needs one value per eventuality "
-            f"({space.omega_size}), got {len(out)}"
+            f"({obj.space.omega_size}), got {len(out)}"
         )
+    object.__setattr__(obj, "values", out)
     return out
 
 
@@ -213,17 +252,7 @@ class ProbabilityMeasure:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = _coerce_values(self.space, self.values, "a probability measure")
-        object.__setattr__(self, "values", values)
-        for v in values:
-            if v < 0:
-                raise ConstraintError(f"negative mass {v}", witness=v)
-        total = sum(values)
-        if total != 1:
-            raise ConstraintError(
-                f"masses must sum to exactly 1, got {clipped(total)}",
-                witness=clipped(total),
-            )
+        check_mass(_set_values(self, "a probability measure"))
 
     @classmethod
     def uniform(cls, space: Space) -> ProbabilityMeasure:
@@ -251,9 +280,7 @@ class RandomVariable:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _coerce_values(self.space, self.values, "a random variable")
-        )
+        _set_values(self, "a random variable")
 
     @classmethod
     def constant(cls, space: Space, value: RationalLike) -> RandomVariable:
@@ -294,13 +321,7 @@ class UncertaintyDegree:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        values = _coerce_values(self.space, self.values, "an uncertainty degree")
-        object.__setattr__(self, "values", values)
-        for v in values:
-            if not (ZERO <= v <= ONE):
-                raise ConstraintError(
-                    f"uncertainty degree {v} outside [0, 1]", witness=v
-                )
+        check_unit("uncertainty degree", _set_values(self, "an uncertainty degree"))
 
     @classmethod
     def constant(cls, space: Space, value: RationalLike) -> UncertaintyDegree:

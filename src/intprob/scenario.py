@@ -49,7 +49,7 @@ from .space import Event, Space, build_space
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "scenario_to_doc", "dump_scenario"]
 
 _TOP_KEYS = {"n", "e_labels", "mass", "r", "events", "variables", "capacities", "comment"}
-_CAPACITY_KINDS = {"table", "belief_mass", "distortion"}
+_CAPACITY_KINDS = ("belief_mass", "distortion", "table")  # a tuple: a kind may be unhashable
 
 
 @dataclass
@@ -186,7 +186,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConstraintError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer too long to read
+    except (ValueError, RecursionError) as exc:  # bad JSON, a too-long integer, too deep
         raise ConstraintError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return parse_scenario(doc)
 

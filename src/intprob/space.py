@@ -218,6 +218,8 @@ class Space:
 
     def parse_eventuality(self, text: str) -> int:
         """Parse ``"label,bits"``; the label may itself contain commas."""
+        if not isinstance(text, str):
+            raise ConstraintError(f"eventuality must be a string, got {type(text).__name__}")
         label, sep, bits = text.rpartition(",")
         if not sep:
             raise ConstraintError(

@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 import intprob as ip
@@ -249,3 +250,8 @@ def measured_spaces(draw, max_n: int = 3, max_points: int = 12):
     """A space with a measure and a degree, as one draw."""
     space = draw(spaces(max_n=max_n, max_points=max_points))
     return space, draw(measures(space)), draw(degrees(space))
+
+
+# Hosted CI selects this profile with --hypothesis-profile=ci, so every run
+# draws the same examples; local runs keep hypothesis's random draws.
+settings.register_profile("ci", derandomize=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,22 @@ class TestBeliefFromMass:
             ip.belief_from_mass(space, {space.empty: "1/2", z1: "1/2"})
         with pytest.raises(ConstraintError):
             ip.belief_from_mass(space, {"z1": "1"})
+
+    def test_table_equals_per_mask_sum_at_14_points(self):
+        space = ip.build_space(1, [f"l{i}" for i in range(7)])
+        rng = random.Random(14)
+        size = space.omega_size
+        masks = [1 << i for i in range(0, size, 3)] + rng.sample(range(1, 1 << size), 24)
+        weights = [Fraction(rng.randint(1, 9), rng.choice([1, 2, 3, 7])) for _ in masks]
+        total = sum(weights)
+        focal = {}
+        for mask, w in zip(masks, weights):
+            focal[mask] = focal.get(mask, 0) + w / total
+        nu = ip.belief_from_mass(space, {ip.Event(space, b): w for b, w in focal.items()})
+        assert list(nu.table) == [
+            sum((w for b, w in focal.items() if b & ~mask == 0), Fraction(0))
+            for mask in range(1 << size)
+        ]
 
     def test_belief_is_superadditive(self, small_fixture):
         profile = ip.is_superadditive(class_belief(small_fixture))

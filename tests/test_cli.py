@@ -369,3 +369,123 @@ class TestArgparse:
             main(["--help"])
         assert info.value.code == 0
         assert "interval" in capsys.readouterr().out
+
+
+def _umbrella_doc() -> dict:
+    return json.loads(Path(UMBRELLA).read_text())
+
+
+def _with(doc: dict, path: tuple, value) -> dict:
+    node = doc
+    for key in path[:-1]:
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestNoTraceback:
+    """Inputs that once escaped as tracebacks end in one constraint record."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            json.dumps(_with(_umbrella_doc(), ("events", "H"), [1])),
+            json.dumps(
+                _with(_umbrella_doc(), ("capacities", "belief", "mass", 0, "event"), ["x0,00", 7])
+            ),
+            json.dumps(_with(_umbrella_doc(), ("capacities", "belief", "kind"), [])),
+            json.dumps(_with(_umbrella_doc(), ("capacities", "square", "kind"), {"a": 1})),
+            "[" * 100_000,
+        ],
+        ids=["event-name-int", "focal-name-int", "kind-list", "kind-object", "nested-100000"],
+    )
+    def test_scenario_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        rc, out, err = run(capsys, "interval", str(path), "H")
+        assert rc == 2
+        assert out == ""
+        assert error_record(err)["kind"] == "constraint"
+
+    @pytest.mark.parametrize(
+        "event", ["[" * 2000, '["x0*x0,1010", 3]', '[["x0*x0,1010"]]', "1" * 5000],
+        ids=["nested-2000", "name-int", "name-list", "int-5000-digits"],
+    )
+    def test_product_event_exits_two(self, capsys, event):
+        rc, out, err = run(capsys, "product", UMBRELLA, UMBRELLA, event)
+        assert rc == 2
+        assert out == ""
+        assert error_record(err)["kind"] == "constraint"
+
+    def test_nested_scenario_as_a_process(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        proc = subprocess.run(
+            [sys.executable, "-m", "intprob", "validate", str(path)],
+            capture_output=True,
+            text=True,
+            cwd=ROOT,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert error_record(proc.stderr)["kind"] == "constraint"
+
+
+class TestBoundedRecords:
+    """Every field of an error record stays under 300 characters."""
+
+    LONG = "L" * 5000
+
+    @pytest.mark.parametrize(
+        "path, value, argv",
+        [
+            (("mass", LONG + ",00"), "1/4", ("interval", "H")),
+            (("capacities", LONG), {"kind": "magic"}, ("interval", "H")),
+            (("r", "x0,00"), list(range(50_000)), ("interval", "H")),
+            (("comment",), "c", ("interval", LONG)),
+            (("comment",), "c", ("dominate", "X", LONG)),
+        ],
+        ids=[
+            "long-label",
+            "long-capacity-name",
+            "huge-non-rational",
+            "undeclared-event",
+            "undeclared-variable",
+        ],
+    )
+    def test_long_fields_are_cut(self, capsys, tmp_path, path, value, argv):
+        scenario = tmp_path / "long.json"
+        scenario.write_text(json.dumps(_with(_umbrella_doc(), path, value)))
+        rc, out, err = run(capsys, argv[0], str(scenario), *argv[1:])
+        assert rc == 2
+        record = error_record(err)
+        assert len(record["message"]) < 300
+        assert record["witness"] is None or len(record["witness"]) < 300
+        assert record["message"].endswith("...") or record["witness"].endswith("...")
+
+    def test_event_witness_is_cut(self, capsys, tmp_path):
+        # A null-conditioning refusal carries the whole conditioning event.
+        names = [f"x0,{i:09b}" for i in range(512)]
+        doc = {
+            "n": 9,
+            "e_labels": ["x0"],
+            "mass": {names[0]: "1"},
+            "events": {"A": names[:1], "H": names[1:]},
+        }
+        scenario = tmp_path / "wide.json"
+        scenario.write_text(json.dumps(doc))
+        rc, _, err = run(capsys, "condition", str(scenario), "A", "H")
+        assert rc == 3
+        record = error_record(err)
+        assert record["kind"] == "precondition"
+        assert len(record["message"]) < 300
+        assert len(record["witness"]) < 300
+
+    def test_short_record_is_unchanged(self, capsys):
+        rc, _, err = run(capsys, "interval", UMBRELLA, "Q")
+        assert rc == 2
+        assert err == (
+            '{"error": {"kind": "constraint", "message": "scenario declares no event named '
+            "'Q' (available: ['A', 'H'])\", \"witness\": null}}\n"
+        )
