@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
-from .errors import ConstraintError, PreconditionError
+from .errors import ConstraintError, PreconditionError, clipped
 from .measure import (
     ONE,
     ZERO,
@@ -40,7 +40,6 @@ from .measure import (
     check_mass,
     check_order,
     check_unit,
-    clipped,
 )
 from .space import (
     DIGIT_LIMIT,

@@ -38,7 +38,7 @@ from .conditioning import (
 )
 from .capacity import capacity_interval, capacity_interval_prime
 from .dominance import dominates, interval_cdf
-from .errors import ConstraintError, IntprobError, PreconditionError
+from .errors import ConstraintError, IntprobError, PreconditionError, clipped
 from .measure import (
     Interval,
     ProbabilityMeasure,
@@ -91,7 +91,7 @@ def _named(table: Mapping[str, T], name: str, what: str) -> T:
     except KeyError:
         raise ConstraintError(
             f"scenario declares no {what} named {name!r} "
-            f"(available: {sorted(table) or 'none'})"
+            f"(available: {clipped(sorted(table) or 'none')})"
         ) from None
 
 

@@ -20,7 +20,6 @@ Four conditioning notions appear here, all exact:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,8 +44,6 @@ __all__ = [
     "capacity_conditional",
     "capacity_conditional_prime",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def conditional_interval(
@@ -186,18 +183,7 @@ def _graded_core(
         raise PreconditionError(
             "graded conditioning requires nu(H) > 0", witness=h
         )
-    flag = None
-    if nu.space.omega_size <= PAIR_LIMIT:
-        profile = is_superadditive(nu)
-        if not profile.superadditive:
-            # The outcome's `superadditive` flag is the API for this;
-            # the log line is trace-level detail, not a user warning.
-            logger.debug(
-                "graded conditional evaluated on a non-super-additive capacity; "
-                "containment guarantees do not apply (witness pair %r)",
-                profile.superadditive_witness,
-            )
-        flag = profile.superadditive
+    flag = is_superadditive(nu).superadditive if nu.space.omega_size <= PAIR_LIMIT else None
     total = effective_weight(nu, r, h, nu.space.universe)
     return flag, total, effective_weight(nu, r, h, a)
 
@@ -220,13 +206,6 @@ def capacity_conditional(
     a_ind = indecisive_set(nu.space, a)
     raw_hi = (weight_a + uncertainty_weight(nu, r, h, a_ind)) / total
     clamped = raw_hi > 1
-    if clamped:
-        logger.info(
-            "graded conditional right endpoint %s clamped to 1 for %r given %r",
-            raw_hi,
-            a,
-            h,
-        )
     return ConditionalOutcome(
         interval=Interval(lo, ONE if clamped else raw_hi),
         clamped=clamped,

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .capacity import Capacity, capacity_interval, capacity_interval_prime
-from .errors import ConstraintError
+from .errors import ConstraintError, clipped
 from .measure import (
     ONE,
     ZERO,
@@ -45,7 +45,6 @@ from .measure import (
     _sublevels,
     as_rational,
     check_order,
-    clipped,
     interval_measure,
 )
 from .space import Event, check_space

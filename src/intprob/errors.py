@@ -1,6 +1,22 @@
-"""Exception hierarchy shared by all intprob modules."""
+"""Exception hierarchy shared by all intprob modules, and how refusals quote values."""
+
+from fractions import Fraction
 
 __all__ = ["IntprobError", "ConstraintError", "PreconditionError"]
+
+
+def clipped(value) -> str:
+    """``value`` as text of at most 40 characters, for messages and witnesses.
+
+    A rational with a part of more than 40 digits is shown by the size of
+    that part, read off its bit length, so no long digit string is built.
+    """
+    if isinstance(value, (Fraction, int)):
+        part = max(abs(value.numerator), value.denominator)
+        if part >= 10**40:
+            return f"<rational with a part of ~{part.bit_length() * 30103 // 100000} digits>"
+    text = str(value)
+    return text[:40] + "..." if len(text) > 40 else text
 
 
 class IntprobError(Exception):

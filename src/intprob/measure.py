@@ -22,7 +22,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ConstraintError
+from .errors import ConstraintError, clipped
 from .space import (
     DIGIT_LIMIT,
     EDGE_LIMIT,
@@ -75,20 +75,6 @@ def _literal_digits(text: str) -> int:
         return DIGIT_LIMIT + 1
     digits = max(sum(c.isdigit() for c in part) for part in mantissa.split("/"))
     return digits + int(shift or 0) + 1 if e or "." in mantissa else digits
-
-
-def clipped(value) -> str:
-    """``value`` as text of at most 40 characters, for messages and witnesses.
-
-    A rational with a part of more than 40 digits is shown by the size of
-    that part, read off its bit length, so no long digit string is built.
-    """
-    if isinstance(value, (Fraction, int)):
-        part = max(abs(value.numerator), value.denominator)
-        if part >= 10**40:
-            return f"<rational with a part of ~{part.bit_length() * 30103 // 100000} digits>"
-    text = str(value)
-    return text[:40] + "..." if len(text) > 40 else text
 
 
 def check_mass(masses: Sequence[Fraction]) -> None:

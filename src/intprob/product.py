@@ -6,7 +6,9 @@ bits (left bits in the high-order positions).  The flat space carries
 its own native incompatibility classes, but the product construction
 works with a coarser partition: one class per ordered pair of factor
 classes (``w_classes``), each the product of a left class with a right
-class and hence a union of whole native classes.
+class and hence a union of whole native classes.  Both come from the
+one class rule of ``space.py``, a coarse class complementing the left
+and the right bits each on its own.
 
 The product interval measure grades events by this coarse partition:
 
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iter_product
-from typing import Iterator
 
 from .measure import (
     Interval,
@@ -31,7 +31,7 @@ from .measure import (
     UncertaintyDegree,
     interval_measure,
 )
-from .space import TABLE_LIMIT, Event, Space, check_size, check_space, uncovered_union
+from .space import TABLE_LIMIT, Event, Space, _class_union, _fold_swaps, check_size, check_space
 
 __all__ = [
     "ProductSpace",
@@ -61,21 +61,10 @@ class ProductSpace:
         )
         return Space(self.left.n + self.right.n, labels)
 
-    def factor_pairs(self) -> Iterator[tuple[int, int]]:
-        """The ``(left, right)`` factor indices of every flat index, in order.
-
-        Flat label ``l * |E_right| + r`` pairs left label ``l`` with
-        right label ``r``, and the flat bits put the left bits above the
-        right bits.
-        """
-        left, right = self.left, self.right
-        for l_label, r_label, l_bits, r_bits in iter_product(
-            range(len(left.e_labels)),
-            range(len(right.e_labels)),
-            range(1 << left.n),
-            range(1 << right.n),
-        ):
-            yield (l_label << left.n) + l_bits, (r_label << right.n) + r_bits
+    @cached_property
+    def _swaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """A coarse class complements the left bits and the right bits each on its own."""
+        return _fold_swaps(self.flat, (range(self.right.n, self.flat.n), range(self.right.n)))
 
     @cached_property
     def w_classes(self) -> tuple[Event, ...]:
@@ -86,16 +75,16 @@ class ProductSpace:
         bit pattern belongs to Z_i's complementary pattern pair and
         whose right bit pattern belongs to Z_j's.
         """
-        masks: dict[tuple[int, int], int] = {}
-        for i, (l_index, r_index) in enumerate(self.factor_pairs()):
-            key = (self.left.class_of(l_index), self.right.class_of(r_index))
-            masks[key] = masks.get(key, 0) | 1 << i
-        return tuple(Event(self.flat, masks[key]) for key in sorted(masks))
+        return tuple(
+            Event(self.flat, _class_union(self.flat, 1 << (i << self.right.n | j), self._swaps))
+            for i in range(1 << (self.left.n - 1))
+            for j in range(1 << (self.right.n - 1))
+        )
 
     def coarse_indecisive(self, h: Event) -> Event:
         """Union of the coarse classes that ``h`` does not meet."""
         check_space(self.flat, h)
-        return Event(self.flat, uncovered_union(self.w_classes, h.mask))
+        return Event(self.flat, self.flat.full_mask & ~_class_union(self.flat, h.mask, self._swaps))
 
 
 def product_space(left: Space, right: Space) -> ProductSpace:
@@ -110,8 +99,12 @@ def flat_measure(
     """The product measure ``P⊗P`` on the flat space."""
     check_space(ps.left, p_left)
     check_space(ps.right, p_right)
-    left, right = p_left.values, p_right.values
-    values = tuple(left[i] * right[j] for i, j in ps.factor_pairs())
+    # Flat label ``l * |E_right| + r`` pairs left label ``l`` with right
+    # label ``r``, and the flat bits put the left bits above the right bits.
+    lw, rw = 1 << ps.left.n, 1 << ps.right.n
+    left = [p_left.values[k : k + lw] for k in range(0, len(p_left.values), lw)]
+    right = [p_right.values[k : k + rw] for k in range(0, len(p_right.values), rw)]
+    values = tuple(a * b for lb in left for rb in right for a in lb for b in rb)
     return ProbabilityMeasure(ps.flat, values)
 
 

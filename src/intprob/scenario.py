@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from .capacity import Capacity, PiecewiseLinear, belief_from_mass, capacity_from_table, distort, power_distortion
-from .errors import ConstraintError
+from .errors import ConstraintError, clipped
 from .measure import (
     ProbabilityMeasure,
     RandomVariable,
@@ -81,40 +81,42 @@ def _str_map(raw: Any, what: str) -> dict[str, Any]:
 def _build_capacity(
     name: str, spec: Any, space: Space, mass: ProbabilityMeasure
 ) -> Capacity:
-    _require(isinstance(spec, dict), f"capacity {name!r} spec must be an object")
+    # The name comes last, so a name cut short by ``clipped`` ends the message.
+    where = f", in capacity {clipped(repr(name))}"
+    _require(isinstance(spec, dict), f"spec must be an object{where}")
     kind = spec.get("kind")
     _require(
         kind in _CAPACITY_KINDS,
-        f"capacity {name!r} kind must be one of {sorted(_CAPACITY_KINDS)}, got {kind!r}",
+        f"kind must be one of {sorted(_CAPACITY_KINDS)}, got {clipped(repr(kind))}{where}",
     )
     if kind == "table":
         values = spec.get("values")
-        _require(isinstance(values, list), f"capacity {name!r} needs a 'values' array")
+        _require(isinstance(values, list), f"a table needs a 'values' array{where}")
         return capacity_from_table(space, [as_rational(v) for v in values])
     if kind == "belief_mass":
         rows = spec.get("mass")
-        _require(isinstance(rows, list), f"capacity {name!r} needs a 'mass' array")
+        _require(isinstance(rows, list), f"a belief mass needs a 'mass' array{where}")
         assignment: dict[Event, Any] = {}
         for row in rows:
             _require(
                 isinstance(row, dict) and set(row) == {"event", "value"},
-                f"capacity {name!r} mass rows need exactly 'event' and 'value'",
+                f"mass rows need exactly 'event' and 'value'{where}",
             )
             _require(isinstance(row["event"], list), "focal 'event' must be an array")
             event = space.event(row["event"])
-            _require(event not in assignment, f"capacity {name!r} repeats a focal event")
+            _require(event not in assignment, f"the mass repeats a focal event{where}")
             assignment[event] = as_rational(row["value"])
         return belief_from_mass(space, assignment)
     distortion = spec.get("distortion")
     _require(
-        isinstance(distortion, dict), f"capacity {name!r} needs a 'distortion' object"
+        isinstance(distortion, dict), f"a distortion needs a 'distortion' object{where}"
     )
     dtype = distortion.get("type")
     if dtype == "power":
         exponent = distortion.get("exponent")
         _require(
             isinstance(exponent, int) and not isinstance(exponent, bool),
-            f"capacity {name!r} power distortion needs an integer 'exponent'",
+            f"a power distortion needs an integer 'exponent'{where}",
         )
         return distort(mass, power_distortion(exponent))
     if dtype == "piecewise":
@@ -123,14 +125,14 @@ def _build_capacity(
             isinstance(points, list) and all(
                 isinstance(pt, list) and len(pt) == 2 for pt in points
             ),
-            f"capacity {name!r} piecewise distortion needs 'points' as [x, y] pairs",
+            f"a piecewise distortion needs 'points' as [x, y] pairs{where}",
         )
         curve = PiecewiseLinear(
             tuple((as_rational(x), as_rational(y)) for x, y in points)
         )
         return distort(mass, curve)
     raise ConstraintError(
-        f"capacity {name!r} distortion type must be 'power' or 'piecewise', got {dtype!r}"
+        f"distortion type must be 'power' or 'piecewise', got {clipped(repr(dtype))}{where}"
     )
 
 
@@ -138,7 +140,7 @@ def parse_scenario(doc: Any) -> Scenario:
     """Validate a parsed JSON document and build the exact objects."""
     _require(isinstance(doc, dict), "scenario must be a JSON object")
     unknown = set(doc) - _TOP_KEYS
-    _require(not unknown, f"unknown scenario keys: {sorted(unknown)}")
+    _require(not unknown, f"unknown scenario keys: {clipped(sorted(unknown))}")
     _require("n" in doc and "e_labels" in doc and "mass" in doc,
              "scenario needs 'n', 'e_labels', and 'mass'")
     n = doc["n"]
@@ -156,13 +158,13 @@ def parse_scenario(doc: Any) -> Scenario:
 
     events: dict[str, Event] = {}
     for name, members in _str_map(doc.get("events", {}), "'events'").items():
-        _require(isinstance(members, list), f"event {name!r} must be an array")
+        _require(isinstance(members, list), f"event {clipped(repr(name))} must be an array")
         events[name] = space.event(members)
 
     variables: dict[str, RandomVariable] = {}
     for name, vmap in _str_map(doc.get("variables", {}), "'variables'").items():
         variables[name] = RandomVariable.from_map(
-            space, _str_map(vmap, f"variable {name!r}")
+            space, _str_map(vmap, f"variable {clipped(repr(name))}")
         )
 
     capacities: dict[str, Capacity] = {}

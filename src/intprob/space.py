@@ -6,7 +6,10 @@ binary sequence.  Two eventualities are *incompatible* when their binary
 sequences differ in every position, so the bit patterns split into
 2^(n-1) complementary pairs and the universe splits into 2^(n-1)
 *incompatibility classes* (``z_classes``), each of the form
-``E x {bits, ~bits}``.
+``E x {bits, ~bits}``.  One rule builds every class: a pattern under
+every label, with any of its bit blocks complemented (here one block of
+all ``n`` bits; a left and a right one for ``product.py``'s coarse
+classes).  Every indecisive set and class list reads ``_class_union``.
 
 For an event ``H`` the classes that ``H`` does not meet form its
 *indecisive set* ``H_ind``; what remains of the complement is the *weak
@@ -26,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Iterator
 
-from .errors import ConstraintError, PreconditionError
+from .errors import ConstraintError, PreconditionError, clipped
 
 __all__ = [
     "Space",
@@ -112,13 +116,35 @@ def lattice_edges(size: int) -> Iterator[tuple[int, int]]:
             rest ^= low
 
 
-def uncovered_union(classes: Iterable[Event], mask: int) -> int:
-    """Mask of the union of the ``classes`` that ``mask`` does not meet."""
-    out = 0
-    for z in classes:
-        if not z.mask & mask:
-            out |= z.mask
-    return out
+def _fold_swaps(space: Space, blocks: tuple[range, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The ``(shift, keep)`` swaps of each generator of a class.
+
+    Index bit ``b`` flips by swapping each run of ``shift = 2**b`` positions
+    whose bit ``b`` is clear (``keep``) with the run above it.  A generator
+    complements one block of pattern bits or flips one label bit, label
+    numbers being index bits above the pattern, padded to a power of two.
+    """
+    bits = space.n + (len(space.e_labels) - 1).bit_length()
+    ones = (1 << (1 << bits)) - 1
+    generators = blocks + tuple(range(b, b + 1) for b in range(space.n, bits))
+    return tuple(
+        tuple((1 << b, ones // ((1 << (2 << b)) - 1) * ((1 << (1 << b)) - 1)) for b in g)
+        for g in generators
+    )
+
+
+def _class_union(space: Space, mask: int, swaps: tuple[tuple[tuple[int, int], ...], ...]) -> int:
+    """Mask of the union of the classes that ``mask`` meets, given their swaps.
+
+    The generators commute, so OR-ing in each one's image once closes the
+    mask: one swap per index bit, about log2 |Omega| big-integer steps.
+    """
+    for generator in swaps:
+        image = mask
+        for shift, keep in generator:
+            image = (image >> shift) & keep | (image & keep) << shift
+        mask |= image
+    return mask & space.full_mask
 
 
 @dataclass(frozen=True)
@@ -145,9 +171,9 @@ class Space:
             raise ConstraintError("e_labels must be nonempty")
         for label in labels:
             if not isinstance(label, str) or not label:
-                raise ConstraintError(f"labels must be nonempty strings, got {label!r}")
+                raise ConstraintError(f"labels must be nonempty strings, got {clipped(repr(label))}")
         if len(set(labels)) != len(labels):
-            raise ConstraintError("labels must be distinct", witness=labels)
+            raise ConstraintError("labels must be distinct", witness=clipped(labels))
         # n is judged before 2^n is built, so an absurd n allocates nothing.
         if self.n >= SPACE_LIMIT.bit_length() or len(labels) << self.n > SPACE_LIMIT:
             raise PreconditionError(
@@ -160,19 +186,14 @@ class Space:
         """Number of eventualities, ``|E| * 2**n``."""
         return len(self.e_labels) * (1 << self.n)
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << self.omega_size) - 1
 
-    def class_of(self, index: int) -> int:
-        """Number of the incompatibility class holding eventuality ``index``.
-
-        A bit pattern and its complement share a class, numbered by the
-        one of the two that starts with bit 0.
-        """
-        full_bits = (1 << self.n) - 1
-        value = index & full_bits
-        return min(value, value ^ full_bits)
+    @cached_property
+    def _swaps(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """A native class complements all ``n`` bits at once."""
+        return _fold_swaps(self, (range(self.n),))
 
     @cached_property
     def z_classes(self) -> tuple[Event, ...]:
@@ -183,10 +204,10 @@ class Space:
         whose representative (the pattern starting with bit 0) has
         numeric value ``j``.  Classes are ordered by representative.
         """
-        masks = [0] * (1 << (self.n - 1))
-        for i in range(self.omega_size):
-            masks[self.class_of(i)] |= 1 << i
-        return tuple(Event(self, mask) for mask in masks)
+        return tuple(
+            Event(self, _class_union(self, 1 << j, self._swaps))
+            for j in range(1 << (self.n - 1))
+        )
 
     @cached_property
     def universe(self) -> Event:
@@ -201,11 +222,11 @@ class Space:
         try:
             e_idx = self.e_labels.index(label)
         except ValueError:
-            raise ConstraintError(f"unknown label {label!r}", witness=label) from None
+            raise ConstraintError(f"unknown label {clipped(repr(label))}", witness=clipped(label)) from None
         if len(bits) != self.n or any(c not in "01" for c in bits):
             raise ConstraintError(
-                f"bit sequence must be {self.n} characters of 0/1, got {bits!r}",
-                witness=bits,
+                f"bit sequence must be {self.n} characters of 0/1, got {clipped(repr(bits))}",
+                witness=clipped(bits),
             )
         return e_idx * (1 << self.n) + int(bits, 2)
 
@@ -223,7 +244,8 @@ class Space:
         label, sep, bits = text.rpartition(",")
         if not sep:
             raise ConstraintError(
-                f"eventuality must look like 'label,bits', got {text!r}", witness=text
+                f"eventuality must look like 'label,bits', got {clipped(repr(text))}",
+                witness=clipped(text),
             )
         return self.index_of(label, bits)
 
@@ -301,8 +323,10 @@ class Event:
         """Display form ``{x0,00, x0,11}`` used by the CLI."""
         return "{" + ", ".join(self.members()) + "}"
 
-    def __repr__(self) -> str:
-        return f"Event({self.render()})"
+    def __repr__(self) -> str:  # like ``render``, but naming at most 8 members
+        head = [self.space.eventuality_name(i) for i in islice(self, 8)]
+        rest = len(self) - len(head)
+        return "Event({" + ", ".join(head) + (f", ... {rest} more" if rest else "") + "})"
 
     def indecisive(self) -> Event:
         return indecisive_set(self.space, self)
@@ -329,7 +353,7 @@ def indecisive_set(space: Space, h: Event) -> Event:
     (so ``{}_ind`` is the whole universe).
     """
     check_space(space, h)
-    return Event(space, uncovered_union(space.z_classes, h.mask))
+    return Event(space, space.full_mask & ~_class_union(space, h.mask, space._swaps))
 
 
 def weak_complement(space: Space, h: Event) -> Event:
@@ -338,5 +362,5 @@ def weak_complement(space: Space, h: Event) -> Event:
     Together with ``h`` and ``indecisive_set(space, h)`` this
     partitions the universe.
     """
-    ind = indecisive_set(space, h)
-    return Event(space, space.full_mask & ~h.mask & ~ind.mask)
+    check_space(space, h)
+    return Event(space, _class_union(space, h.mask, space._swaps) & ~h.mask)

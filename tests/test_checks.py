@@ -2,7 +2,8 @@
 
 Every refusal below is the same ``ConstraintError`` the folded hand-written
 copies raised.  With an offending value of 4300 digits, the message and the
-witness stay short, because the checks never format a value in full.
+witness stay short, because the checks never format a value in full.  Names
+(labels, bit strings, eventualities, scenario names) are quoted the same way.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import intprob as ip
+from intprob.cli import _named
 from intprob.errors import ConstraintError
 from intprob.measure import check_ends, check_mass, check_order, check_unit
 
@@ -124,6 +126,66 @@ def test_huge_values_are_quoted_short(build):
     ],
 )
 def test_short_values_are_quoted_in_full(refuse, message, witness):
+    with pytest.raises(ConstraintError) as info:
+        refuse()
+    assert str(info.value) == message
+    assert info.value.witness == witness
+
+
+LONG = "L" * 5000
+
+
+def _scenario(**extra):
+    doc = {"n": 2, "e_labels": ["x0"], "mass": {"x0,00": "1"}}
+    doc.update(extra)
+    return ip.parse_scenario(doc)
+
+
+# Each refusal that quotes a name, refused on a name of 5000 characters.
+LONG_NAME_CASES = {
+    "unknown label": lambda: _space2().event([LONG + ",00"]),
+    "bad bits": lambda: _space2().event(["x0," + "0" * 5000]),
+    "no comma": lambda: _space2().event(["x0" + "0" * 5000]),
+    "non-string label": lambda: ip.build_space(1, [list(range(5000))]),
+    "repeated label": lambda: ip.build_space(1, [LONG, LONG]),
+    "capacity name": lambda: _scenario(capacities={LONG: {"kind": "magic"}}),
+    "capacity kind": lambda: _scenario(capacities={"nu": {"kind": LONG}}),
+    "distortion type": lambda: _scenario(
+        capacities={"nu": {"kind": "distortion", "distortion": {"type": LONG}}}
+    ),
+    "event name": lambda: _scenario(events={LONG: "x0,00"}),
+    "variable name": lambda: _scenario(variables={LONG: []}),
+    "scenario keys": lambda: _scenario(**{LONG: 1}),
+    "available names": lambda: _named({LONG: 1, "H": 2}, "Q", "event"),
+}
+
+
+@pytest.mark.parametrize("build", list(LONG_NAME_CASES.values()), ids=list(LONG_NAME_CASES))
+def test_long_names_are_quoted_short(build):
+    with pytest.raises(ConstraintError) as info:
+        build()
+    assert len(str(info.value)) < 300
+    assert len(repr(info.value.witness)) < 300
+
+
+@pytest.mark.parametrize(
+    "refuse, message, witness",
+    [
+        (lambda: _space2().event(["q,00"]), "unknown label 'q'", "q"),
+        (
+            lambda: _space2().event(["x0,0"]),
+            "bit sequence must be 2 characters of 0/1, got '0'",
+            "0",
+        ),
+        (lambda: _space2().event(["x0"]), "eventuality must look like 'label,bits', got 'x0'", "x0"),
+        (
+            lambda: _scenario(capacities={"nu": {"kind": "magic"}}),
+            "kind must be one of ['belief_mass', 'distortion', 'table'], got 'magic', in capacity 'nu'",
+            None,
+        ),
+    ],
+)
+def test_short_names_are_quoted_in_full(refuse, message, witness):
     with pytest.raises(ConstraintError) as info:
         refuse()
     assert str(info.value) == message

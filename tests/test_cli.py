@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from intprob.cli import main
+import intprob as ip
+from intprob.cli import _emit_error, main
+from intprob.errors import PreconditionError
 
 ROOT = Path(__file__).resolve().parent.parent
 UMBRELLA = str(ROOT / "scenarios" / "umbrella.json")
@@ -481,6 +483,21 @@ class TestBoundedRecords:
         assert record["kind"] == "precondition"
         assert len(record["message"]) < 300
         assert len(record["witness"]) < 300
+
+    def test_event_witness_names_few_members(self, capsys, monkeypatch):
+        # The record of a null-conditioning refusal on an 8191-member event
+        # names a bounded number of its members, however many it has.
+        space = ip.build_space(13, ["x0"])
+        p = ip.ProbabilityMeasure.from_map(space, {"x0," + "0" * 13: "1"})
+        h = ip.Event(space, space.full_mask - 1)
+        with pytest.raises(PreconditionError) as info:
+            ip.conditional_interval(p, ip.UncertaintyDegree.ones(space), space.universe, h)
+        asked = []
+        name = ip.Space.eventuality_name
+        monkeypatch.setattr(ip.Space, "eventuality_name", lambda sp, i: asked.append(i) or name(sp, i))
+        _emit_error("precondition", info.value)
+        assert 0 < len(asked) <= 8
+        assert "8183 more" in error_record(capsys.readouterr().err)["witness"]
 
     def test_short_record_is_unchanged(self, capsys):
         rc, _, err = run(capsys, "interval", UMBRELLA, "Q")

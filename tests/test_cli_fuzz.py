@@ -8,6 +8,11 @@ on exit 2 or 3 it must be one JSON error record whose fields are under 300
 characters.  Only argparse's ``SystemExit`` may escape.  Values stay small:
 ``n`` is at most 3 (or far past the space cap), strings at most 5000
 characters.
+
+``product`` multiplies two factor documents of different shapes, fuzzed
+with the rest: a 1-label and a 3-label factor with ``n = 1``.  The flat
+space then has 3 labels, not a power of two, in 12 points; a 3-label
+factor times the 4-point scenario would exceed the product guard's 20.
 """
 
 from __future__ import annotations
@@ -54,18 +59,34 @@ BASE = {
     "comment": "every section and every capacity kind",
 }
 
-# The product event and the demo name are fuzzed with the document, as two
-# more branches of it.
-ROOT = {"scenario": BASE, "product_event": ["x0*x0,1010", "x0*x0,0101"], "demo": "umbrella"}
+LEFT = {"n": 1, "e_labels": ["c"], "mass": {"c,0": "1/3", "c,1": "2/3"}}
+RIGHT = {
+    "n": 1,
+    "e_labels": ["a", "b", "d"],
+    "mass": {"a,0": "1/6", "a,1": "1/6", "b,0": "1/4", "b,1": "1/12", "d,0": "1/6", "d,1": "1/6"},
+    "events": {"H": ["a,1"]},
+}
+
+# The product factors and event and the demo name are fuzzed with the
+# document, as more branches of it.
+ROOT = {
+    "scenario": BASE,
+    "left": LEFT,
+    "right": RIGHT,
+    "product_event": ["c*a,10", "c*d,01"],
+    "demo": "umbrella",
+}
 
 COMMANDS = {
-    "interval": lambda path, root: ["interval", path, "H"],
-    "condition": lambda path, root: ["condition", path, "A", "H"],
-    "cdf": lambda path, root: ["cdf", path, "X"],
-    "dominate": lambda path, root: ["dominate", path, "X", "Y"],
-    "product": lambda path, root: ["product", path, path, json.dumps(root.get("product_event"))],
-    "validate": lambda path, root: ["validate", path],
-    "demo": lambda path, root: ["demo", str(root.get("demo"))],
+    "interval": lambda paths, root: ["interval", paths["scenario"], "H"],
+    "condition": lambda paths, root: ["condition", paths["scenario"], "A", "H"],
+    "cdf": lambda paths, root: ["cdf", paths["scenario"], "X"],
+    "dominate": lambda paths, root: ["dominate", paths["scenario"], "X", "Y"],
+    "product": lambda paths, root: [
+        "product", paths["left"], paths["right"], json.dumps(root.get("product_event"))
+    ],
+    "validate": lambda paths, root: ["validate", paths["scenario"]],
+    "demo": lambda paths, root: ["demo", str(root.get("demo"))],
 }
 
 _STRINGS = st.one_of(
@@ -113,19 +134,23 @@ def _mutate(root, data):
 
 
 @pytest.fixture(scope="module")
-def scenario_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "scenario.json"
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_mutated_scenario_ends_in_one_record(scenario_path, command, data):
+def test_mutated_scenario_ends_in_one_record(fuzz_dir, command, data):
     root = copy.deepcopy(ROOT)
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(root, data)
-    scenario_path.write_text(json.dumps(root.get("scenario")))
-    argv = COMMANDS[command](str(scenario_path), root)
+    paths = {}
+    for doc in ("scenario", "left", "right"):
+        path = fuzz_dir / f"{doc}.json"
+        path.write_text(json.dumps(root.get(doc)))
+        paths[doc] = str(path)
+    argv = COMMANDS[command](paths, root)
     out, err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(out), redirect_stderr(err):

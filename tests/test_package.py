@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import intprob as ip
 
 MODULES = (
@@ -30,3 +33,35 @@ def test_every_name_resolves_and_star_import_binds_exactly_them():
     exec("from intprob import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == ip.__all__
+
+
+def _package_imports(path):
+    """The package modules ``path`` imports, by their names under ``intprob``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:  # from . import x / from .x import y
+                base = node.module
+            elif (node.module or "").startswith("intprob"):
+                base = node.module.removeprefix("intprob").lstrip(".")
+            else:
+                continue
+            if base:
+                found.add(base.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "intprob":
+                    found.add(rest.split(".")[0] or "__init__")
+    return found
+
+
+def test_the_oracle_stays_independent_of_the_kernel():
+    """No kernel module imports the oracle, and the oracle imports only ``errors``."""
+    package = Path(ip.__file__).parent
+    for path in package.glob("*.py"):
+        if path.stem != "oracle":
+            assert "oracle" not in _package_imports(path), path.name
+    assert _package_imports(package / "oracle.py") <= {"errors"}

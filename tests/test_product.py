@@ -106,14 +106,15 @@ def _class_number(bits: str) -> int:
 
 
 class TestFlatLayout:
-    @pytest.mark.parametrize("labels", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    @pytest.mark.parametrize("labels", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3), (3, 2)])
     @pytest.mark.parametrize("n_left", [1, 2, 3])
     @pytest.mark.parametrize("n_right", [1, 2, 3])
     def test_matches_definition(self, n_left, n_right, labels):
-        """``w_classes`` and ``flat_measure`` rebuilt from the flat names.
+        """``w_classes``, ``flat_measure`` and ``coarse_indecisive`` rebuilt from the flat names.
 
         Each flat name ``"l*r,bits"`` splits into its two factor names;
         the coarse classes group by the pair of factor classes, row-major.
+        Label counts of 3 and 6 are not powers of two.
         """
         left = ip.build_space(n_left, [f"l{i}" for i in range(labels[0])])
         right = ip.build_space(n_right, [f"r{i}" for i in range(labels[1])])
@@ -134,6 +135,12 @@ class TestFlatLayout:
             groups[key] = groups.get(key, 0) | 1 << i
         assert [w.mask for w in ps.w_classes] == [groups[key] for key in sorted(groups)]
         assert flat_measure(ps, p_left, p_right).values == tuple(masses)
+        for depth in range(20):  # densities from 1/2 down to 1/32
+            h = ps.flat.full_mask
+            for _ in range(1 + depth % 5):
+                h &= rng.getrandbits(ps.flat.omega_size)
+            missed = sum(group for group in groups.values() if not group & h)
+            assert ps.coarse_indecisive(ip.Event(ps.flat, h)).mask == missed
 
 
 class TestFlatMeasure:

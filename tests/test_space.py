@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -224,6 +226,26 @@ class TestIndecisiveAndWeakComplement:
                     assert z.mask & ind.mask == 0
                 else:
                     assert z.mask & ind.mask == z.mask
+
+    @pytest.mark.parametrize("n, labels", [(3, 3), (4, 5), (3, 6), (1, 1 << 15)])
+    def test_matches_patterns_index_by_index(self, n, labels):
+        """Past the oracle's 12 points and up to ``SPACE_LIMIT``, with label
+        counts that are not powers of two: index ``i`` is indecisive exactly
+        when neither ``i % 2**n`` nor its complement is a pattern of ``h``."""
+        space = ip.build_space(n, [f"e{k}" for k in range(labels)])
+        width, size = 1 << n, space.omega_size
+        rng = random.Random(f"{n}/{labels}")
+        masks = [0, 1, 1 << (size - 1), space.full_mask]
+        for depth in range(12):  # densities from 1/2 down to 1/64
+            mask = space.full_mask
+            for _ in range(1 + depth % 6):
+                mask &= rng.getrandbits(size)
+            masks.append(mask)
+        for mask in masks:
+            met = {i % width for i in iter_bits(mask)}
+            met |= {p ^ (width - 1) for p in met}
+            bits = "".join("0" if i % width in met else "1" for i in reversed(range(size)))
+            assert ip.indecisive_set(space, ip.Event(space, mask)).mask == int(bits, 2)
 
     def test_space_mismatch_rejected(self):
         a = ip.build_space(1, ["a"])
