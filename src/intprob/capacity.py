@@ -15,6 +15,16 @@ uncertainty degree ``r``:
   which absorbs the graded indecisive part into the capacity's argument.
 
 For super-additive ``nu`` the first is always contained in the second.
+
+Every level-grid functional here and in ``conditioning.py`` is one
+integral ``∫_0^1 nu(base ∪ (support ∩ {r >= t})) dt`` over two masks::
+
+    functional                  support            base
+    choquet                     Omega              {}
+    capacity_interval           H_ind              {}
+    capacity_interval_prime     H_ind              H
+    I(B)  (effective_weight)    B ∩ H_ind          B ∩ H
+    J(B)  (uncertainty_weight)  B ∩ (H ∪ H_ind)    {}
 """
 
 from __future__ import annotations
@@ -87,9 +97,10 @@ class Capacity:
 
     def __call__(self, event: Event) -> Fraction:
         check_space(self.space, event)
-        return self.table[event.mask]
+        return self.of_mask(event.mask)
 
     def of_mask(self, mask: int) -> Fraction:
+        """The value on the event with bitmask ``mask``: every kernel read goes here."""
         return self.table[mask]
 
     def is_additive(self) -> bool:
@@ -244,30 +255,24 @@ def distort(
     return Capacity(p.space, table)
 
 
-def _grid_integral(
-    nu: Capacity,
-    values: Sequence[Fraction],
-    support_mask: int,
-    transform: Callable[[int], int],
-) -> Fraction:
-    """Exact ``∫_0^1 nu(transform({i in support : values[i] >= t})) dt``.
+def _grid_integral(nu: Capacity, values: Sequence[Fraction], support: int, base: int = 0) -> Fraction:
+    """Exact ``∫_0^1 nu(base ∪ (support ∩ {values >= t})) dt``.
 
-    The integrand is a step function of ``t``: it changes only at the
-    distinct positive values attained on the support, where ``{values >= t}``
-    is the support minus the sublevel set of the value below ``t``.  The
-    integral is the sum of stratum widths times the capacity on each
-    stratum, plus the top stratum ``(1 - t_max) * nu(transform({}))``.
+    The one integrand of every level-grid functional; the module docstring
+    tables each one's two masks.  It is a step function of ``t``: it changes
+    only at the distinct positive values attained on the support, where
+    ``{values >= t}`` is the support minus the sublevel set of the value
+    below ``t``.  The integral is the sum of stratum widths times the
+    capacity on each stratum, plus the top stratum ``(1 - t_max) * nu(base)``.
     """
-    total = ZERO
-    prev = ZERO
+    total = prev = ZERO
     below = 0
-    for t, upto in _sublevels(values, support_mask):
+    for t, upto in _sublevels(values, support):
         # Values lie in [0, 1], so a level at 0 adds a stratum of width 0.
-        total += (t - prev) * nu.table[transform(support_mask & ~below)]
+        total += (t - prev) * nu.of_mask(base | (support & ~below))
         prev = t
         below = upto
-    total += (ONE - prev) * nu.table[transform(0)]
-    return total
+    return total + (ONE - prev) * nu.of_mask(base)
 
 
 def choquet(nu: Capacity, g: RandomVariable) -> Fraction:
@@ -279,7 +284,7 @@ def choquet(nu: Capacity, g: RandomVariable) -> Fraction:
     """
     check_space(nu.space, g)
     check_unit("integrand value", g.values)
-    return _grid_integral(nu, g.values, nu.space.full_mask, lambda s: s)
+    return _grid_integral(nu, g.values, nu.space.full_mask)
 
 
 def capacity_interval(
@@ -294,15 +299,11 @@ def capacity_interval(
     1) the event is logged.
     """
     check_space(nu.space, r, h)
-    lo = nu.table[h.mask]
-    ind_mask = indecisive_set(h.space, h).mask
-    raw_hi = lo + _grid_integral(nu, r.values, ind_mask, lambda s: s)
+    lo = nu.of_mask(h.mask)
+    raw_hi = lo + _grid_integral(nu, r.values, indecisive_set(h.space, h).mask)
     if raw_hi > 1:
-        logger.info(
-            "capacity interval right endpoint %s clamped to 1 for %r", raw_hi, h
-        )
-        return Interval(lo, ONE)
-    return Interval(lo, raw_hi)
+        logger.info("capacity interval right endpoint %s clamped to 1 for %r", raw_hi, h)
+    return Interval(lo, min(raw_hi, ONE))
 
 
 def capacity_interval_prime(
@@ -311,19 +312,16 @@ def capacity_interval_prime(
     """``[nu(H), ∫ nu(H ∪ (H_ind ∩ {r >= t})) dt]``.
 
     Strata of ``t`` where the graded indecisive part is exhausted
-    contribute ``nu(H)`` (the transform of the empty level set), so the
-    right endpoint is always at least ``nu(H)``.  It never exceeds 1:
-    every stratum value is at most 1 and the stratum widths sum to 1.
+    contribute ``nu(H)`` (the base alone), so the right endpoint is
+    always at least ``nu(H)``.  It never exceeds 1: every stratum value
+    is at most 1 and the stratum widths sum to 1.
     Super-additivity is not demanded here — the map is defined for any
     capacity — but only super-additive capacities guarantee that
     ``capacity_interval`` is contained in this interval.
     """
     check_space(nu.space, r, h)
-    lo = nu.table[h.mask]
     ind_mask = indecisive_set(h.space, h).mask
-    return Interval(
-        lo, _grid_integral(nu, r.values, ind_mask, lambda s: h.mask | s)
-    )
+    return Interval(nu.of_mask(h.mask), _grid_integral(nu, r.values, ind_mask, h.mask))
 
 
 @dataclass(frozen=True)

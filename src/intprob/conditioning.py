@@ -119,10 +119,10 @@ def ds_conditional_weak(nu: Capacity, a: Event, h: Event) -> Fraction:
 def _ds_update(nu: Capacity, a: Event, h: Event, c: int, refusal: str) -> Fraction:
     """``(nu(A ∪ C) - nu(C)) / (1 - nu(C))`` for the complement mask ``c`` of ``h``."""
     check_space(nu.space, a, h)
-    base = nu.table[c]
+    base = nu.of_mask(c)
     if base == 1:
         raise PreconditionError(refusal, witness=h)
-    return (nu.table[a.mask | c] - base) / (ONE - base)
+    return (nu.of_mask(a.mask | c) - base) / (ONE - base)
 
 
 def effective_weight(
@@ -132,14 +132,14 @@ def effective_weight(
 
     Weights ``B`` through the conditioning core ``H`` plus the part of
     the indecisive fringe still active at grade ``t``.  Monotone in
-    ``B``; ``I(Omega)`` is at least ``nu(H)``.
+    ``B``; ``I(Omega)`` is at least ``nu(H)``.  The active fringe
+    ``S = H_ind ∩ {r >= t}`` lies inside ``H_ind``, so
+    ``B ∩ (H ∪ S) = (B ∩ H) ∪ ((B ∩ H_ind) ∩ {r >= t})``: ``I`` is the one
+    level-grid integral with support ``B ∩ H_ind`` and base ``B ∩ H``.
     """
-    space = nu.space
-    check_space(space, r, h, b)
-    ind_mask = indecisive_set(space, h).mask
-    return _grid_integral(
-        nu, r.values, ind_mask, lambda s: b.mask & (h.mask | s)
-    )
+    check_space(nu.space, r, h, b)
+    h_ind = indecisive_set(nu.space, h).mask
+    return _grid_integral(nu, r.values, b.mask & h_ind, b.mask & h.mask)
 
 
 def uncertainty_weight(
@@ -150,11 +150,9 @@ def uncertainty_weight(
     Unlike :func:`effective_weight`, the grade cut applies to the whole
     argument, so ``J(B) <= I(B)`` for every monotone capacity.
     """
-    space = nu.space
-    check_space(space, r, h, b)
-    ind_mask = indecisive_set(space, h).mask
-    support = b.mask & (h.mask | ind_mask)
-    return _grid_integral(nu, r.values, support, lambda s: s)
+    check_space(nu.space, r, h, b)
+    h_ind = indecisive_set(nu.space, h).mask
+    return _grid_integral(nu, r.values, b.mask & (h.mask | h_ind))
 
 
 @dataclass(frozen=True)
@@ -176,16 +174,17 @@ class ConditionalOutcome:
 
 def _graded_core(
     nu: Capacity, r: UncertaintyDegree, a: Event, h: Event
-) -> tuple[bool | None, Fraction, Fraction]:
-    """The super-additivity flag, ``I(Omega)`` and ``I(A)`` shared by both graded rules."""
-    check_space(nu.space, r, a, h)
-    if nu.table[h.mask] == 0:
-        raise PreconditionError(
-            "graded conditioning requires nu(H) > 0", witness=h
-        )
-    flag = is_superadditive(nu).superadditive if nu.space.omega_size <= PAIR_LIMIT else None
-    total = effective_weight(nu, r, h, nu.space.universe)
-    return flag, total, effective_weight(nu, r, h, a)
+) -> tuple[bool | None, int, int, Fraction, Fraction]:
+    """The super-additivity flag, ``H_ind``, ``A_ind``, ``I(Omega)`` and ``I(A)`` of both rules."""
+    space = nu.space
+    check_space(space, r, a, h)
+    if nu.of_mask(h.mask) == 0:
+        raise PreconditionError("graded conditioning requires nu(H) > 0", witness=h)
+    flag = is_superadditive(nu).superadditive if space.omega_size <= PAIR_LIMIT else None
+    h_ind = indecisive_set(space, h).mask
+    total = _grid_integral(nu, r.values, h_ind, h.mask)  # B = Omega
+    weight_a = _grid_integral(nu, r.values, a.mask & h_ind, a.mask & h.mask)
+    return flag, h_ind, indecisive_set(space, a).mask, total, weight_a
 
 
 def capacity_conditional(
@@ -201,13 +200,11 @@ def capacity_conditional(
     the super-additive case.  The raw right endpoint can exceed 1; it
     is clamped and the clamp recorded on the outcome.
     """
-    super_flag, total, weight_a = _graded_core(nu, r, a, h)
-    lo = weight_a / total
-    a_ind = indecisive_set(nu.space, a)
-    raw_hi = (weight_a + uncertainty_weight(nu, r, h, a_ind)) / total
+    super_flag, h_ind, a_ind, total, weight_a = _graded_core(nu, r, a, h)
+    raw_hi = (weight_a + _grid_integral(nu, r.values, a_ind & (h.mask | h_ind))) / total
     clamped = raw_hi > 1
     return ConditionalOutcome(
-        interval=Interval(lo, ONE if clamped else raw_hi),
+        interval=Interval(weight_a / total, ONE if clamped else raw_hi),
         clamped=clamped,
         superadditive=super_flag,
     )
@@ -222,12 +219,11 @@ def capacity_conditional_prime(
     complement of ``A`` (that is, ``A ∪ A_ind``), so it never exceeds
     ``I(Omega)`` and the outcome is never clamped.
     """
-    super_flag, total, weight_a = _graded_core(nu, r, a, h)
-    lo = weight_a / total
-    widened = Event(nu.space, a.mask | indecisive_set(nu.space, a).mask)
-    hi = effective_weight(nu, r, h, widened) / total
+    super_flag, h_ind, a_ind, total, weight_a = _graded_core(nu, r, a, h)
+    widened = a.mask | a_ind
+    hi = _grid_integral(nu, r.values, widened & h_ind, widened & h.mask) / total
     return ConditionalOutcome(
-        interval=Interval(lo, hi),
+        interval=Interval(weight_a / total, hi),
         clamped=False,
         superadditive=super_flag,
     )

@@ -164,7 +164,8 @@ class Space:
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ConstraintError(f"n must be a positive integer, got {self.n!r}")
+            shown = clipped(self.n if isinstance(self.n, int) else repr(self.n))
+            raise ConstraintError(f"n must be a positive integer, got {shown}")
         labels = tuple(self.e_labels)
         object.__setattr__(self, "e_labels", labels)
         if not labels:
@@ -178,7 +179,7 @@ class Space:
         if self.n >= SPACE_LIMIT.bit_length() or len(labels) << self.n > SPACE_LIMIT:
             raise PreconditionError(
                 f"a space holds at most {SPACE_LIMIT} eventualities, "
-                f"got {len(labels)} label(s) x 2^{self.n}"
+                f"got {len(labels)} label(s) x 2^{clipped(self.n)}"
             )
 
     @property
@@ -275,10 +276,8 @@ class Event:
 
     def __post_init__(self) -> None:
         if not 0 <= self.mask <= self.space.full_mask:
-            raise ConstraintError(
-                f"event mask {self.mask:#x} has bits outside the universe",
-                witness=self.mask,
-            )
+            shown = clipped(hex(self.mask))  # hex text has no digit limit to trip
+            raise ConstraintError(f"event mask {shown} has bits outside the universe", witness=shown)
 
     def __or__(self, other: Event) -> Event:
         check_space(self.space, other)

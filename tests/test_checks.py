@@ -54,8 +54,8 @@ def _thresholds(values, y_first=0):
 
 POINT_0, POINT_1 = ip.Interval(0, 0), ip.Interval(1, 1)
 
-# Each folded site, refused on a value of 4300 digits.  The first five are
-# the paths whose records quoted that value in full before the fold.
+# Each folded site, refused on a value of 4300 digits or more.  The first
+# five are the paths whose records quoted that value in full before the fold.
 HUGE_CASES = {
     "negative mass": lambda: ip.ProbabilityMeasure(_space1(), (-HUGE, HUGE + 1)),
     "uncertainty degree": lambda: ip.UncertaintyDegree(_space1(), (HUGE, 1)),
@@ -80,6 +80,8 @@ HUGE_CASES = {
     "distortion ends": lambda: ip.distort(
         ip.ProbabilityMeasure.uniform(_space1()), lambda t: (t + TINY) / (1 + TINY)
     ),
+    "event mask": lambda: ip.Event(_space2(), 1 << 20000),
+    "space n": lambda: ip.build_space(-(10**5000), ["x0"]),
 }
 
 
@@ -89,6 +91,12 @@ def test_huge_values_are_quoted_short(build):
         build()
     assert len(str(info.value)) < 100
     assert len(repr(info.value.witness)) < 100
+
+
+def test_huge_n_is_refused_by_size_and_quoted_short():
+    with pytest.raises(ip.PreconditionError) as info:
+        ip.build_space(10**5000, ["x0"])
+    assert len(str(info.value)) < 120
 
 
 @pytest.mark.parametrize(
@@ -123,6 +131,13 @@ def test_huge_values_are_quoted_short(build):
             "g(0) and g(1) must be 0 and 1, got 0 and 7/8",
             ("0", "7/8"),
         ),
+        (
+            lambda: ip.Event(_space2(), 1 << 4),
+            "event mask 0x10 has bits outside the universe",
+            "0x10",
+        ),
+        (lambda: ip.build_space(0, ["x0"]), "n must be a positive integer, got 0", None),
+        (lambda: ip.build_space("3", ["x0"]), "n must be a positive integer, got '3'", None),
     ],
 )
 def test_short_values_are_quoted_in_full(refuse, message, witness):

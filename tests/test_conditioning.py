@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import intprob as ip
+import intprob.space as kernel_space
 from intprob.errors import PreconditionError
 
 from conftest import CONCAVE_BEND, events, measured_spaces, standard_capacities
@@ -409,3 +410,30 @@ class TestGradedConditionals:
         assert wa == Fraction(1, 2)
         assert wb == Fraction(1)
         assert wb > wa
+
+    @pytest.mark.parametrize(
+        "rule", [ip.capacity_conditional, ip.capacity_conditional_prime]
+    )
+    def test_each_rule_folds_at_most_twice(self, monkeypatch, rule):
+        """One graded rule builds ``H_ind`` and ``A_ind`` once each.
+
+        Every route into the class fold (indecisive sets, weak complements,
+        class lists) goes through ``space._class_union``, so counting its
+        calls counts the folds.
+        """
+        space = ip.build_space(3, ["a", "b"])
+        p = ip.ProbabilityMeasure.uniform(space)
+        nu = ip.distort(p, ip.power_distortion(2))
+        r = ip.UncertaintyDegree(space, [Fraction(i % 3, 2) for i in range(16)])
+        a, h = space.event(["a,000", "b,011"]), space.event(["a,001", "a,110"])
+        calls = []
+        fold = kernel_space._class_union
+
+        def counting(*args):
+            calls.append(args[1])
+            return fold(*args)
+
+        monkeypatch.setattr(kernel_space, "_class_union", counting)
+        out = rule(nu, r, a, h)
+        assert len(calls) <= 2
+        assert out.interval.lo <= out.interval.hi

@@ -89,7 +89,8 @@ def test_weights_and_graded_conditionals(setting, name):
         def weight(b):  # I(B)
             return rescan_integral(nu, r.values, ind, lambda s: b & (h.mask | s))
 
-        for a in rng.sample(events, 6):
+        # The fixed four make B ∩ H_ind empty (∅, h) and all of H_ind (Ω, h's complement).
+        for a in rng.sample(events, 6) + [space.empty, space.universe, h, h.complement()]:
             a_ind = ip.indecisive_set(space, a).mask
             assert ip.effective_weight(nu, r, h, a) == weight(a.mask)
             j = rescan_integral(nu, r.values, a_ind & (h.mask | ind), lambda s: s)
