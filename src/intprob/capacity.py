@@ -39,6 +39,7 @@ from .errors import ConstraintError, PreconditionError, clipped
 from .measure import (
     ONE,
     ZERO,
+    Columns,
     Interval,
     ProbabilityMeasure,
     RandomVariable,
@@ -255,8 +256,8 @@ def distort(
     return Capacity(p.space, table)
 
 
-def _grid_integral(nu: Capacity, values: Sequence[Fraction], support: int, base: int = 0) -> Fraction:
-    """Exact ``∫_0^1 nu(base ∪ (support ∩ {values >= t})) dt``.
+def _grid_integral(nu: Capacity, columns: Columns, support: int, base: int = 0) -> Fraction:
+    """Exact ``∫_0^1 nu(base ∪ (support ∩ {values >= t})) dt`` for the values in ``columns``.
 
     The one integrand of every level-grid functional; the module docstring
     tables each one's two masks.  It is a step function of ``t``: it changes
@@ -267,7 +268,7 @@ def _grid_integral(nu: Capacity, values: Sequence[Fraction], support: int, base:
     """
     total = prev = ZERO
     below = 0
-    for t, upto in _sublevels(values, support):
+    for t, upto in _sublevels(columns, support):
         # Values lie in [0, 1], so a level at 0 adds a stratum of width 0.
         total += (t - prev) * nu.of_mask(base | (support & ~below))
         prev = t
@@ -284,7 +285,7 @@ def choquet(nu: Capacity, g: RandomVariable) -> Fraction:
     """
     check_space(nu.space, g)
     check_unit("integrand value", g.values)
-    return _grid_integral(nu, g.values, nu.space.full_mask)
+    return _grid_integral(nu, g.columns, nu.space.full_mask)
 
 
 def capacity_interval(
@@ -300,7 +301,7 @@ def capacity_interval(
     """
     check_space(nu.space, r, h)
     lo = nu.of_mask(h.mask)
-    raw_hi = lo + _grid_integral(nu, r.values, indecisive_set(h.space, h).mask)
+    raw_hi = lo + _grid_integral(nu, r.columns, indecisive_set(h.space, h).mask)
     if raw_hi > 1:
         logger.info("capacity interval right endpoint %s clamped to 1 for %r", raw_hi, h)
     return Interval(lo, min(raw_hi, ONE))
@@ -321,7 +322,7 @@ def capacity_interval_prime(
     """
     check_space(nu.space, r, h)
     ind_mask = indecisive_set(h.space, h).mask
-    return Interval(nu.of_mask(h.mask), _grid_integral(nu, r.values, ind_mask, h.mask))
+    return Interval(nu.of_mask(h.mask), _grid_integral(nu, r.columns, ind_mask, h.mask))
 
 
 @dataclass(frozen=True)

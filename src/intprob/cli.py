@@ -89,9 +89,10 @@ def _named(table: Mapping[str, T], name: str, what: str) -> T:
     try:
         return table[name]
     except KeyError:
+        # The requested name goes last, so a cut through it ends the message.
         raise ConstraintError(
-            f"scenario declares no {what} named {name!r} "
-            f"(available: {clipped(sorted(table) or 'none')})"
+            f"available {what}s are {clipped(sorted(table) or 'none')}; "
+            f"scenario declares no {what} named {clipped(repr(name))}"
         ) from None
 
 

@@ -75,7 +75,7 @@ def conditional_interval(
     check_space(space, p, r, a)
     h_ind = indecisive_set(space, h).mask
     a_ind = indecisive_set(space, a).mask
-    mass, degree = p.values, r.values
+    mass, degree = p.columns, r.columns
     p_h = _masked_sum(h.mask, mass)
     if not allow_null_conditioning and p_h == 0:
         raise PreconditionError("conditioning event has probability zero", witness=h)
@@ -139,7 +139,7 @@ def effective_weight(
     """
     check_space(nu.space, r, h, b)
     h_ind = indecisive_set(nu.space, h).mask
-    return _grid_integral(nu, r.values, b.mask & h_ind, b.mask & h.mask)
+    return _grid_integral(nu, r.columns, b.mask & h_ind, b.mask & h.mask)
 
 
 def uncertainty_weight(
@@ -152,7 +152,7 @@ def uncertainty_weight(
     """
     check_space(nu.space, r, h, b)
     h_ind = indecisive_set(nu.space, h).mask
-    return _grid_integral(nu, r.values, b.mask & (h.mask | h_ind))
+    return _grid_integral(nu, r.columns, b.mask & (h.mask | h_ind))
 
 
 @dataclass(frozen=True)
@@ -182,8 +182,8 @@ def _graded_core(
         raise PreconditionError("graded conditioning requires nu(H) > 0", witness=h)
     flag = is_superadditive(nu).superadditive if space.omega_size <= PAIR_LIMIT else None
     h_ind = indecisive_set(space, h).mask
-    total = _grid_integral(nu, r.values, h_ind, h.mask)  # B = Omega
-    weight_a = _grid_integral(nu, r.values, a.mask & h_ind, a.mask & h.mask)
+    total = _grid_integral(nu, r.columns, h_ind, h.mask)  # B = Omega
+    weight_a = _grid_integral(nu, r.columns, a.mask & h_ind, a.mask & h.mask)
     return flag, h_ind, indecisive_set(space, a).mask, total, weight_a
 
 
@@ -201,7 +201,7 @@ def capacity_conditional(
     is clamped and the clamp recorded on the outcome.
     """
     super_flag, h_ind, a_ind, total, weight_a = _graded_core(nu, r, a, h)
-    raw_hi = (weight_a + _grid_integral(nu, r.values, a_ind & (h.mask | h_ind))) / total
+    raw_hi = (weight_a + _grid_integral(nu, r.columns, a_ind & (h.mask | h_ind))) / total
     clamped = raw_hi > 1
     return ConditionalOutcome(
         interval=Interval(weight_a / total, ONE if clamped else raw_hi),
@@ -221,7 +221,7 @@ def capacity_conditional_prime(
     """
     super_flag, h_ind, a_ind, total, weight_a = _graded_core(nu, r, a, h)
     widened = a.mask | a_ind
-    hi = _grid_integral(nu, r.values, widened & h_ind, widened & h.mask) / total
+    hi = _grid_integral(nu, r.columns, widened & h_ind, widened & h.mask) / total
     return ConditionalOutcome(
         interval=Interval(weight_a / total, hi),
         clamped=False,

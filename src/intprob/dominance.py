@@ -114,7 +114,7 @@ class IntervalCDF:
 def _build_cdf(
     x: RandomVariable, event_interval: Callable[[Event], Interval]
 ) -> IntervalCDF:
-    levels = dict(_sublevels(x.values, x.space.full_mask))
+    levels = dict(_sublevels(x.columns, x.space.full_mask))
     segments = [event_interval(Event(x.space, mask)) for mask in (0, *levels.values())]
     return IntervalCDF(tuple(levels), tuple(segments))
 

@@ -13,12 +13,22 @@ whose width collects the mass of the indecisive part of ``H``, graded
 by ``r``.  ``validate_imprecise`` checks the two axioms that make a map
 ``H -> [lo, hi]`` an imprecise probability in this setting: the left
 endpoints form a probability measure, and widths shrink as events grow.
+
+Sums over the points of an event run in integers.  Measures, degrees
+and variables each cache their values once as two integer columns,
+numerators and denominators.  A masked sum multiplies the columns point
+by point and adds each numerator product into one integer accumulator
+per distinct denominator product; only those accumulators become
+``Fraction``s, added in pairs.  One common denominator for every term is avoided on
+purpose: the lcm of many distinct denominators is huge (4096 odd primes
+give one of about 37,800 bits), and every term would be scaled up to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -205,23 +215,52 @@ def _values_from_map(
     return tuple(values)
 
 
-def _masked_sum(mask: int, *columns: Sequence[Fraction]) -> Fraction:
-    """Exact sum over the points ``i`` of ``mask`` of ``columns[0][i] * columns[1][i] * ...``."""
+#: A value column as integers: each value's numerator, and its denominator.
+Columns = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _columns(self) -> Columns:
+    """``self.values`` as two integer columns, numerators and denominators."""
+    return (
+        tuple(v.numerator for v in self.values),
+        tuple(v.denominator for v in self.values),
+    )
+
+
+def _masked_sum(mask: int, *columns: Columns) -> Fraction:
+    """Exact sum over the points ``i`` of ``mask`` of ``columns[0][i] * columns[1][i] * ...``.
+
+    Numerator products add into one integer per distinct denominator
+    product, and only those sums become ``Fraction``s.
+    """
     points = list(iter_bits(mask))
-    terms = map(columns[0].__getitem__, points)
-    for column in columns[1:]:
-        terms = map(mul, terms, map(column.__getitem__, points))
-    return sum(terms, ZERO)
+    num_col, den_col = columns[0]
+    nums = map(num_col.__getitem__, points)
+    dens = map(den_col.__getitem__, points)
+    for num_col, den_col in columns[1:]:
+        nums = map(mul, nums, map(num_col.__getitem__, points))
+        dens = map(mul, dens, map(den_col.__getitem__, points))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for num, den in zip(nums, dens):
+        acc[den] = get(den, 0) + num
+    parts = list(map(Fraction, acc.values(), acc))
+    # In pairs: each addition to one running total would cost that total's growing length.
+    while len(parts) > 1:
+        parts = [sum(parts[i + 1 : i + 2], parts[i]) for i in range(0, len(parts), 2)]
+    return parts[0] if parts else ZERO
 
 
-def _sublevels(values: Sequence[Fraction], mask: int) -> Iterator[tuple[Fraction, int]]:
+def _sublevels(columns: Columns, mask: int) -> Iterator[tuple[Fraction, int]]:
     """Each value ``t`` taken on ``mask``, ascending, with ``{i in mask : values[i] <= t}``."""
-    groups: dict[Fraction, list[int]] = {}  # one pass; only distinct values are sorted
+    nums, dens = columns
+    groups: dict[tuple[int, int], list[int]] = {}  # one pass; only distinct values are sorted
     for i in iter_bits(mask):
-        groups.setdefault(values[i], []).append(i)
+        groups.setdefault((nums[i], dens[i]), []).append(i)
+    levels = sorted((Fraction(*key), key) for key in groups)
     below = 0
-    for t in sorted(groups):
-        for i in groups[t]:
+    for t, key in levels:
+        for i in groups[key]:
             below |= 1 << i
         yield t, below
 
@@ -240,6 +279,8 @@ class ProbabilityMeasure:
     def __post_init__(self) -> None:
         check_mass(_set_values(self, "a probability measure"))
 
+    columns = cached_property(_columns)
+
     @classmethod
     def uniform(cls, space: Space) -> ProbabilityMeasure:
         share = Fraction(1, space.omega_size)
@@ -255,7 +296,7 @@ class ProbabilityMeasure:
     def __call__(self, event: Event) -> Fraction:
         """P(event)."""
         check_space(self.space, event)
-        return _masked_sum(event.mask, self.values)
+        return _masked_sum(event.mask, self.columns)
 
 
 @dataclass(frozen=True)
@@ -267,6 +308,8 @@ class RandomVariable:
 
     def __post_init__(self) -> None:
         _set_values(self, "a random variable")
+
+    columns = cached_property(_columns)
 
     @classmethod
     def constant(cls, space: Space, value: RationalLike) -> RandomVariable:
@@ -291,7 +334,7 @@ class RandomVariable:
     def sublevel(self, t: RationalLike) -> Event:
         """The event {self <= t}."""
         bound = as_rational(t)
-        nested = [m for v, m in _sublevels(self.values, self.space.full_mask) if v <= bound]
+        nested = [m for v, m in _sublevels(self.columns, self.space.full_mask) if v <= bound]
         return Event(self.space, nested[-1] if nested else 0)
 
     def attained(self) -> tuple[Fraction, ...]:
@@ -308,6 +351,8 @@ class UncertaintyDegree:
 
     def __post_init__(self) -> None:
         check_unit("uncertainty degree", _set_values(self, "an uncertainty degree"))
+
+    columns = cached_property(_columns)
 
     @classmethod
     def constant(cls, space: Space, value: RationalLike) -> UncertaintyDegree:
@@ -347,7 +392,7 @@ def uncertainty_variable(
 def expectation(p: ProbabilityMeasure, v: RandomVariable) -> Fraction:
     """Exact expectation of ``v`` under ``p``."""
     check_space(p.space, v)
-    return sum((m * x for m, x in zip(p.values, v.values)), ZERO)
+    return _masked_sum(p.space.full_mask, p.columns, v.columns)
 
 
 def interval_measure(
@@ -363,7 +408,7 @@ def interval_measure(
     check_space(h.space, p, r)
     lo = p(h)
     ind = indecisive_set(h.space, h).mask
-    return Interval(lo, lo + _masked_sum(ind, p.values, r.values))
+    return Interval(lo, lo + _masked_sum(ind, p.columns, r.columns))
 
 
 def marginal_mass(p: ProbabilityMeasure, bits: str) -> Fraction:
@@ -371,10 +416,8 @@ def marginal_mass(p: ProbabilityMeasure, bits: str) -> Fraction:
     space = p.space
     value = space.index_of(space.e_labels[0], bits)  # validates ``bits``
     block = 1 << space.n
-    return sum(
-        (p.values[e_idx * block + value] for e_idx in range(len(space.e_labels))),
-        ZERO,
-    )
+    mask = sum(1 << (e_idx * block + value) for e_idx in range(len(space.e_labels)))
+    return _masked_sum(mask, p.columns)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import compress, count, islice
 from typing import Iterable, Iterator
 
 from .errors import ConstraintError, PreconditionError, clipped
@@ -53,20 +53,33 @@ DIGIT_LIMIT = 4300  # digits of a rational's numerator or denominator
 TOO_LONG = 10**DIGIT_LIMIT  # the least integer with more than DIGIT_LIMIT digits
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask`` in ascending order."""
-    if mask.bit_length() > 256:
-        # Each peel below copies the whole mask; past ~256 bits a text scan is cheaper.
-        text = bin(mask)[:1:-1]
-        i = text.find("1")
-        while i >= 0:
-            yield i
-            i = text.find("1", i + 1)
-        return
+    """The indices of the set bits of ``mask`` in ascending order."""
+    if mask.bit_length() <= 256:
+        return _peel_bits(mask)
+    # Each peel copies the whole mask; past ~256 bits one text scan is cheaper:
+    # a 0/1 selector over every index when the mask is dense, a search per bit when not.
+    text = bin(mask)[:1:-1]
+    if 8 * text.count("1") > len(text):
+        return compress(count(), text.encode().translate(_BITS))
+    return _find_bits(text)
+
+
+def _peel_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _find_bits(text: str) -> Iterator[int]:
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
 
 
 def check_space(space: Space, *objects) -> None:

@@ -172,6 +172,7 @@ LONG_NAME_CASES = {
     "variable name": lambda: _scenario(variables={LONG: []}),
     "scenario keys": lambda: _scenario(**{LONG: 1}),
     "available names": lambda: _named({LONG: 1, "H": 2}, "Q", "event"),
+    "requested name": lambda: _named({}, LONG, "event"),
 }
 
 
@@ -196,6 +197,11 @@ def test_long_names_are_quoted_short(build):
         (
             lambda: _scenario(capacities={"nu": {"kind": "magic"}}),
             "kind must be one of ['belief_mass', 'distortion', 'table'], got 'magic', in capacity 'nu'",
+            None,
+        ),
+        (
+            lambda: _named({"A": 1, "H": 2}, "Q", "event"),
+            "available events are ['A', 'H']; scenario declares no event named 'Q'",
             None,
         ),
     ],

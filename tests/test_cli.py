@@ -503,6 +503,6 @@ class TestBoundedRecords:
         rc, _, err = run(capsys, "interval", UMBRELLA, "Q")
         assert rc == 2
         assert err == (
-            '{"error": {"kind": "constraint", "message": "scenario declares no event named '
-            "'Q' (available: ['A', 'H'])\", \"witness\": null}}\n"
+            '{"error": {"kind": "constraint", "message": "available events are '
+            "['A', 'H']; scenario declares no event named 'Q'\", \"witness\": null}}\n"
         )

@@ -4,7 +4,9 @@
 both graded conditionals read their level sets off one ascending walk
 of the integrand's values.  The reference below rescans the support
 once per level instead, on a 16-point space (past the oracle's 12-point
-cap) with degrees that tie and vanish.
+cap) with degrees that tie and vanish.  The walk itself is checked
+against ``sorted(set(values))`` on values that are negative, have mixed
+denominators, or are one rational written two ways.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 import intprob as ip
 from intprob.errors import PreconditionError
+from intprob.measure import _sublevels
 
 from conftest import CONCAVE_BEND, random_degree, random_measure
 
@@ -109,3 +112,25 @@ def test_weights_and_graded_conditionals(setting, name):
             assert prime.interval == expected
             checked += 1
     assert checked > 30
+
+
+def test_sublevels_match_sorted_distinct_values():
+    space = ip.build_space(3, ["a", "b"])
+    texts = ["2/4", "-3/2", "1/2", "7/3", "-1", "0", "5", "-7/6",
+             "1/3", "2/6", "-3/2", "14/6", "-6/4", "0/5", "10/2", "-1/1"]
+    x = ip.RandomVariable(space, tuple(texts))
+    values = [Fraction(t) for t in texts]
+    levels = sorted(set(values))
+    assert len(levels) == 8
+    assert x.attained() == tuple(levels)
+    rng = random.Random("sublevels")
+    for support in [space.full_mask, 0] + [rng.getrandbits(16) for _ in range(20)]:
+        points = [i for i in range(16) if support >> i & 1]
+        expected = [
+            (t, sum(1 << i for i in points if values[i] <= t))
+            for t in sorted({values[i] for i in points})
+        ]
+        assert list(_sublevels(x.columns, support)) == expected
+    for t in levels + [Fraction(-2), Fraction(1, 4), Fraction(6)]:
+        below = sum(1 << i for i, v in enumerate(values) if v <= t)
+        assert x.sublevel(t) == ip.Event(space, below)

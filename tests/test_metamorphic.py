@@ -6,6 +6,11 @@ when the mass, the degree, the events and the variables are carried
 along by the same map, every interval measure, conditional, interval
 distribution function and dominance verdict must come out identical.
 This reaches far past the oracle's 12-point cap.
+
+The same space also carries a measure whose masses have 4096 distinct
+denominators, whose common denominator has tens of thousands of bits;
+its interval measures and conditionals are checked against plain
+``Fraction`` sums written here.
 """
 
 from __future__ import annotations
@@ -116,3 +121,60 @@ def test_symmetry_preserves_every_answer(problem, reference, name):
         _carry_values(perm, y),
     )
     assert carried == reference
+
+
+def _odd_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 3
+    while len(primes) < count:
+        if all(k % q for q in primes if q * q <= k):
+            primes.append(k)
+        k += 2
+    return primes
+
+
+@pytest.fixture(scope="module")
+def hostile():
+    """Masses ``1/(4096 p)`` and ``(p - 1)/(4096 p)`` with ``r = 1/p``, over 4096 odd primes ``p``."""
+    mass: list[Fraction] = []
+    degree: list[Fraction] = []
+    for q in _odd_primes(SIZE // 2):
+        mass += [Fraction(1, 4096 * q), Fraction(q - 1, 4096 * q)]
+        degree += [Fraction(1, q)] * 2
+    return mass, degree
+
+
+def _plain_indecisive(mask: int) -> set[int]:
+    """Points of the classes ``E x {bits, ~bits}`` that ``mask`` misses."""
+    met = {min(i % BLOCK, ~i % BLOCK) for i in range(SIZE) if mask >> i & 1}
+    return {i for i in range(SIZE) if min(i % BLOCK, ~i % BLOCK) not in met}
+
+
+def _graded(mask: int, degree: list[Fraction]) -> list[Fraction]:
+    """``1_mask + r * 1_{mask_ind}`` pointwise."""
+    ind = _plain_indecisive(mask)
+    return [Fraction(1) if mask >> i & 1 else degree[i] if i in ind else Fraction(0) for i in range(SIZE)]
+
+
+def test_hostile_denominators_match_plain_sums(hostile):
+    mass, degree = hostile
+    p = ip.ProbabilityMeasure(SPACE, tuple(mass))
+    r = ip.UncertaintyDegree(SPACE, tuple(degree))
+    assert sum(mass, Fraction(0)) == 1
+    assert p(SPACE.universe) == 1
+    rng = random.Random("hostile-denominators")
+    sparse = sum(1 << i for i in rng.sample(range(SIZE), 16))
+    masks = [sparse, rng.getrandbits(SIZE), rng.getrandbits(SIZE) | sparse]
+    graded = {m: _graded(m, degree) for m in masks}
+    for h in masks:
+        lo = sum((mass[i] for i in range(SIZE) if h >> i & 1), Fraction(0))
+        hi = sum((m * g for m, g in zip(mass, graded[h])), Fraction(0))
+        assert hi > lo
+        assert ip.interval_measure(p, r, ip.Event(SPACE, h)) == ip.Interval(lo, hi)
+    for a, h in [(masks[1], masks[0]), (masks[0], masks[2])]:
+        denom = sum((m * g for m, g in zip(mass, graded[h])), Fraction(0))
+        lo = sum((mass[i] * graded[h][i] for i in range(SIZE) if a >> i & 1), Fraction(0))
+        hi = sum((m * f * g for m, f, g in zip(mass, graded[a], graded[h])), Fraction(0))
+        got = ip.conditional_interval(p, r, ip.Event(SPACE, a), ip.Event(SPACE, h))
+        assert got == ip.Interval(lo / denom, hi / denom)
+        assert got.width > 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 from pathlib import Path
 
 import intprob as ip
@@ -65,3 +66,17 @@ def test_the_oracle_stays_independent_of_the_kernel():
         if path.stem != "oracle":
             assert "oracle" not in _package_imports(path), path.name
     assert _package_imports(package / "oracle.py") <= {"errors"}
+
+
+ORACLE_SHA256 = "5ca9b05028301afad10fd92e7ee6c425a19309ac6d85f43c1654655de6fd6141"
+
+
+def test_the_oracle_stays_byte_for_byte():
+    """``oracle.py`` is pinned to its bytes.
+
+    It is the kernel's independent check: edited alongside the kernel, it
+    could come to share the kernel's decisions, and kernel/oracle
+    agreement would then prove nothing.
+    """
+    source = (Path(ip.__file__).parent / "oracle.py").read_bytes()
+    assert hashlib.sha256(source).hexdigest() == ORACLE_SHA256
