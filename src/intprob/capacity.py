@@ -33,6 +33,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConstraintError, PreconditionError, clipped
@@ -45,6 +46,7 @@ from .measure import (
     RandomVariable,
     RationalLike,
     UncertaintyDegree,
+    _on_common,
     _sublevels,
     as_rational,
     check_ends,
@@ -106,16 +108,15 @@ class Capacity:
 
     def is_additive(self) -> bool:
         """True when the table is a probability measure's subset sums."""
-        singles = [self.table[1 << i] for i in range(self.space.omega_size)]
-        return list(self.table) == _subset_sums(singles)
+        nums, _ = _on_common(self.table)
+        return nums == _subset_sums([nums[1 << i] for i in range(self.space.omega_size)])
 
 
-def _subset_sums(values: Sequence[Fraction]) -> list[Fraction]:
+def _subset_sums(values: Sequence[int]) -> list[int]:
     """``sums[mask]``: the sum of ``values`` over the points of ``mask``."""
-    sums = [ZERO] * (1 << len(values))
-    for mask in range(1, len(sums)):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+    sums = [0]
+    for v in values:  # the masks with this bit set follow those without it
+        sums += [s + v for s in sums]
     return sums
 
 
@@ -123,8 +124,9 @@ def capacity_from_table(space: Space, table: Sequence[RationalLike]) -> Capacity
     """Validate and wrap an explicit subset table.
 
     Checks the boundary values and monotonicity over every single-element
-    extension (which implies monotonicity for all nested pairs).  A
-    violation is rejected with the offending pair as witness.
+    extension (which implies monotonicity for all nested pairs), on the
+    entries' numerators over their common denominator.  A violation is
+    rejected with the offending pair as witness.
     """
     check_size("capacity_from_table", space.omega_size, TABLE_LIMIT)
     n_events = 1 << space.omega_size
@@ -134,8 +136,9 @@ def capacity_from_table(space: Space, table: Sequence[RationalLike]) -> Capacity
             f"capacity table must have {n_events} entries, got {len(values)}"
         )
     check_ends("capacity on {} and Omega", values[0], values[-1])
+    nums, _ = _on_common(values)
     for mask, ext in lattice_edges(space.omega_size):
-        if values[ext] < values[mask]:
+        if nums[ext] < nums[mask]:
             raise ConstraintError(
                 "capacity not monotone",
                 witness=(Event(space, mask), Event(space, ext)),
@@ -151,6 +154,10 @@ def belief_from_mass(
     ``m`` must assign nonnegative mass summing to 1 to events of
     ``space``, with no mass on the empty event.  The result is monotone
     and super-additive by construction.
+
+    The zeta transform adds integers: the masses are put on one common
+    denominator, the lcm of theirs (refused past ``DIGIT_LIMIT`` digits),
+    and one ``Fraction`` is built per distinct table value.
     """
     check_size("belief_from_mass", space.omega_size, TABLE_LIMIT)
     focal: dict[int, Fraction] = {}
@@ -161,18 +168,19 @@ def belief_from_mass(
     check_mass(list(focal.values()))
     if focal.get(0):
         raise ConstraintError("the empty event cannot carry mass", witness=clipped(focal[0]))
-    table = [ZERO] * (1 << space.omega_size)
-    for mask, w in focal.items():
+    nums, den = _on_common(list(focal.values()))
+    table = [0] * (1 << space.omega_size)
+    for mask, w in zip(focal, nums):
         table[mask] = w
     # Zeta transform: once bits 0..b are done, table[A] sums the masses of
     # the subsets of A that agree with A on every higher bit.
     for b in range(space.omega_size):
         step = 1 << b
         for block in range(step, len(table), 2 * step):  # the masks with bit b set
-            for mask in range(block, block + step):
-                if table[mask ^ step]:
-                    table[mask] += table[mask ^ step]
-    return Capacity(space, tuple(table))
+            upper = slice(block, block + step)
+            table[upper] = map(add, table[upper], table[block - step : block])
+    values = {v: Fraction(v, den) for v in set(table)}
+    return Capacity(space, tuple(map(values.__getitem__, table)))
 
 
 def power_distortion(exponent: int) -> Callable[[Fraction], Fraction]:
@@ -231,9 +239,14 @@ def distort(
     every probability value the measure actually attains (which is all
     the table ever evaluates), and a violation is rejected with the
     witnessing argument pair.  ``g`` must return exact rationals.
+
+    ``P`` is summed in integers over the masses' common denominator, the
+    lcm of theirs (refused past ``DIGIT_LIMIT`` digits), and ``g`` is
+    called once per distinct attained value, in ascending order.
     """
     check_size("distort", p.space.omega_size, TABLE_LIMIT)
-    probs = _subset_sums(p.values)
+    nums, den = _on_common(p.values)
+    sums = _subset_sums(nums)  # P on every mask, as numerators over ``den``
 
     def apply(t: Fraction) -> Fraction:
         out = g(t)
@@ -243,17 +256,16 @@ def distort(
             )
         return Fraction(out)
 
-    attained = sorted({ZERO, ONE, *probs})
-    images = {t: apply(t) for t in attained}
-    check_ends("distortion g(0) and g(1)", images[ZERO], images[ONE])
-    for t0, t1 in zip(attained, attained[1:]):
-        if images[t1] < images[t0]:
+    attained = sorted({0, den, *sums})
+    images = {k: apply(Fraction(k, den)) for k in attained}
+    check_ends("distortion g(0) and g(1)", images[0], images[den])
+    for k0, k1 in zip(attained, attained[1:]):
+        if images[k1] < images[k0]:
             raise ConstraintError(
                 "distortion is not monotone",
-                witness=tuple((clipped(t), clipped(images[t])) for t in (t0, t1)),
+                witness=tuple((clipped(Fraction(k, den)), clipped(images[k])) for k in (k0, k1)),
             )
-    table = tuple(images[prob] for prob in probs)
-    return Capacity(p.space, table)
+    return Capacity(p.space, tuple(map(images.__getitem__, sums)))
 
 
 def _grid_integral(nu: Capacity, columns: Columns, support: int, base: int = 0) -> Fraction:
@@ -346,17 +358,19 @@ def is_superadditive(nu: Capacity) -> AdditivityProfile:
     """Classify a capacity by sweeping all disjoint pairs of events.
 
     The sweep touches 3^|Omega| pairs and is limited to universes of at
-    most ``PAIR_LIMIT`` eventualities.  Results are cached per capacity
-    object, for the 16 most recently used capacities.
+    most ``PAIR_LIMIT`` eventualities.  It adds and compares integers:
+    the table is put on one common denominator, the lcm of its entries'
+    (refused past ``DIGIT_LIMIT`` digits).  Results are cached per
+    capacity object, for the 16 most recently used capacities.
     """
     size = nu.space.omega_size
     check_size("additivity sweep", size, PAIR_LIMIT)
-    table = nu.table
+    nums, _ = _on_common(nu.table)
     super_w: tuple[Event, Event] | None = None
     sub_w: tuple[Event, Event] | None = None
     for a, b in disjoint_pairs(size):
-        lhs = table[a] + table[b]
-        rhs = table[a | b]
+        lhs = nums[a] + nums[b]
+        rhs = nums[a | b]
         if lhs > rhs and super_w is None:
             super_w = (Event(nu.space, a), Event(nu.space, b))
         if lhs < rhs and sub_w is None:

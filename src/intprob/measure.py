@@ -22,6 +22,12 @@ per distinct denominator product; only those accumulators become
 ``Fraction``s, added in pairs.  One common denominator for every term is avoided on
 purpose: the lcm of many distinct denominators is huge (4096 odd primes
 give one of about 37,800 bits), and every term would be scaled up to it.
+
+Sweeps over whole 2^|Omega| tables are the other way round: each entry
+is read many times (3^|Omega| disjoint pairs against 2^|Omega| entries),
+so ``_on_common`` scales every entry once to the table's lcm and the
+sweep adds and compares plain integers.  A common denominator of more
+than ``DIGIT_LIMIT`` digits is refused, like any computed value past it.
 """
 
 from __future__ import annotations
@@ -29,14 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
-from .errors import ConstraintError, clipped
+from .errors import ConstraintError, PreconditionError, clipped
 from .space import (
     DIGIT_LIMIT,
     EDGE_LIMIT,
     PAIR_LIMIT,
+    TOO_LONG,
     Event,
     Space,
     check_size,
@@ -156,9 +164,8 @@ def as_rational(value: RationalLike) -> Fraction:
             raise ConstraintError(
                 f"cannot parse rational {text!r}", witness=text
             ) from exc
-    raise ConstraintError(
-        f"not an exact rational: {clipped(value)} (floats are rejected)", witness=value
-    )
+    reason = " (floats are rejected)" if isinstance(value, float) else ""
+    raise ConstraintError(f"not an exact rational: {clipped(value)}{reason}", witness=value)
 
 
 @dataclass(frozen=True)
@@ -249,6 +256,28 @@ def _masked_sum(mask: int, *columns: Columns) -> Fraction:
     while len(parts) > 1:
         parts = [sum(parts[i + 1 : i + 2], parts[i]) for i in range(0, len(parts), 2)]
     return parts[0] if parts else ZERO
+
+
+def _on_common(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``values`` as integer numerators over one common denominator, their lcm.
+
+    On one denominator ``d``, ``a/d + b/d <= c/d`` exactly when
+    ``a + b <= c``, so a sweep over the numerators gives the verdicts of
+    the same sweep over ``values``.  The lcm grows with each distinct
+    denominator; once it needs more than ``DIGIT_LIMIT`` digits the
+    values are refused, so no table is scaled to an unbounded integer.
+    """
+    scale = dict.fromkeys(v.denominator for v in values)
+    den = 1
+    for d in scale:
+        den = lcm(den, d)
+        if den >= TOO_LONG:
+            raise PreconditionError(
+                f"a common denominator of {len(values)} values needs more than {DIGIT_LIMIT} digits"
+            )
+    for d in scale:
+        scale[d] = den // d
+    return [v.numerator * scale[v.denominator] for v in values], den
 
 
 def _sublevels(columns: Columns, mask: int) -> Iterator[tuple[Fraction, int]]:
@@ -465,6 +494,11 @@ def validate_imprecise(q: Mapping[Event, Interval]) -> ValidationReport:
     listing the violating pairs for each failed axiom (all of them in
     exhaustive mode, all violating lattice edges above ``PAIR_LIMIT``
     — see :class:`ValidationReport`).
+
+    Both sweeps add and compare integers: all endpoints are first put on
+    one common denominator, the lcm of theirs.  A map whose lcm needs
+    more than ``DIGIT_LIMIT`` digits is refused with
+    :class:`PreconditionError`.
     """
     if not q:
         raise ConstraintError("empty interval map")
@@ -478,12 +512,12 @@ def validate_imprecise(q: Mapping[Event, Interval]) -> ValidationReport:
         )
 
     lo = [ZERO] * n_events
-    width = [ZERO] * n_events
+    hi = [ZERO] * n_events
     for event, interval in q.items():
         if event.space != space:
             raise ConstraintError("interval map mixes spaces")
         lo[event.mask] = interval.lo
-        width[event.mask] = interval.width
+        hi[event.mask] = interval.hi
 
     full = n_events - 1
     boundary_ok = lo[0] == 0 and lo[full] == 1
@@ -491,6 +525,9 @@ def validate_imprecise(q: Mapping[Event, Interval]) -> ValidationReport:
     if not boundary_ok:
         detail = f"lo({{}}) = {clipped(lo[0])}, lo(Omega) = {clipped(lo[full])}"
 
+    nums, _ = _on_common(lo + hi)
+    lo = nums[:n_events]
+    width = [h - l for h, l in zip(nums[n_events:], lo)]
     additivity_bad: list[tuple[Event, Event]] = []
     width_bad: list[tuple[Event, Event]] = []
 

@@ -179,6 +179,9 @@ class Space:
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             shown = clipped(self.n if isinstance(self.n, int) else repr(self.n))
             raise ConstraintError(f"n must be a positive integer, got {shown}")
+        if isinstance(self.e_labels, str):  # ``tuple`` would split it into one-character labels
+            shown = clipped(repr(self.e_labels))
+            raise ConstraintError(f"e_labels must be a sequence of labels, got the string {shown}")
         labels = tuple(self.e_labels)
         object.__setattr__(self, "e_labels", labels)
         if not labels:
@@ -351,9 +354,9 @@ def build_space(n: int, e_labels: Iterable[str]) -> Space:
     """Construct a validated :class:`Space`.
 
     Rejects ``n = 0`` (and any non-positive ``n``), empty label lists,
-    and duplicate labels.
+    a bare string as ``e_labels``, and duplicate labels.
     """
-    return Space(n, tuple(e_labels))
+    return Space(n, e_labels)
 
 
 def indecisive_set(space: Space, h: Event) -> Event:

@@ -46,6 +46,14 @@ class TestRationalCoercion:
         with pytest.raises(ConstraintError):
             ip.as_rational(True)
 
+    def test_float_message_names_floats_only(self):
+        with pytest.raises(ConstraintError) as info:
+            ip.as_rational(0.25)
+        assert str(info.value) == "not an exact rational: 0.25 (floats are rejected)"
+        with pytest.raises(ConstraintError) as info:
+            ip.as_rational(["1"])
+        assert str(info.value) == "not an exact rational: ['1']"
+
     def test_rejects_garbage_strings(self):
         with pytest.raises(ConstraintError):
             ip.as_rational("1/0")

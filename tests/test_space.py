@@ -40,6 +40,13 @@ class TestBuildSpace:
         with pytest.raises(ConstraintError):
             ip.build_space(2, ["a", ""])
 
+    def test_rejects_a_bare_string_of_labels(self):
+        """``"x0"`` would otherwise become the labels ``x`` and ``0``."""
+        for build in (lambda: ip.build_space(2, "x0"), lambda: ip.Space(2, "x0")):
+            with pytest.raises(ConstraintError, match="got the string 'x0'"):
+                build()
+        assert ip.build_space(2, ("x0",)).e_labels == ("x0",)
+
     def test_size_cap(self):
         """At most 2^16 eventualities; n is judged before 2^n is built."""
         assert ip.build_space(16, ["x0"]).omega_size == 1 << 16
